@@ -163,7 +163,8 @@ func BenchmarkQueryShapes(b *testing.B) {
 	})
 	b.Run("join", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pairs, qErr := db.Query("r").Where(pred).Join("b1", "b2")
+			pairs, qErr := db.Query("r").On("b1").Where(pred).
+				JoinOn(db.Query("r").On("b2"), decibel.On("id", "id")).Tuples()
 			n := 0
 			for range pairs {
 				n++

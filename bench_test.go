@@ -14,6 +14,8 @@ package decibel_test
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -24,7 +26,6 @@ import (
 	"decibel"
 	"decibel/bench"
 	"decibel/gitstore"
-	"decibel/query"
 )
 
 // engines under comparison, in the paper's order (short registry
@@ -104,17 +105,56 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// scanBranch runs Query 1 and returns the records scanned.
-func scanBranch(b *testing.B, d *bench.Dataset, br decibel.BranchID) int {
+// dsFacade wraps a dataset's database in the public DB the builder
+// runs on; queries composed with JoinOn must share one.
+func dsFacade(d *bench.Dataset) *decibel.DB { return &decibel.DB{Database: d.DB} }
+
+// dsQuery starts a builder query over a dataset's table.
+func dsQuery(d *bench.Dataset) *decibel.Query { return dsFacade(d).Query(d.Table.Name()) }
+
+// dsName resolves a dataset branch ID to its name.
+func dsName(b *testing.B, d *bench.Dataset, id decibel.BranchID) string {
+	b.Helper()
+	br, ok := d.DB.Graph().Branch(id)
+	if !ok {
+		b.Fatalf("no branch %d", id)
+	}
+	return br.Name
+}
+
+// countRows drains a builder iterator, failing the benchmark on error.
+func countRows[T any](b *testing.B, seq iter.Seq[T], qErr func() error) int {
 	b.Helper()
 	n := 0
-	if err := query.SingleVersionScan(d.Table, br, query.True, func(*decibel.Record) bool {
+	for range seq {
 		n++
-		return true
-	}); err != nil {
+	}
+	if err := qErr(); err != nil {
 		b.Fatal(err)
 	}
 	return n
+}
+
+// countHeads runs Query 4 over every branch head under a predicate (the
+// zero Expr matches all) and returns the annotated records.
+func countHeads(b *testing.B, d *bench.Dataset, where decibel.Expr) int {
+	b.Helper()
+	rows, qErr := dsQuery(d).Heads().Where(where).Annotated()
+	n := 0
+	for range rows {
+		n++
+	}
+	if err := qErr(); err != nil {
+		b.Fatal(err)
+	}
+	return n
+}
+
+// scanBranch runs Query 1 and returns the records scanned.
+func scanBranch(b *testing.B, d *bench.Dataset, br decibel.BranchID) int {
+	b.Helper()
+	rows, qErr := dsQuery(d).On(dsName(b, d, br)).Rows()
+	return countRows(b, rows, qErr)
 }
 
 // BenchmarkFigure6a — Figure 6a: Query 1 (single-branch scan) on the
@@ -154,13 +194,7 @@ func BenchmarkFigure6b(b *testing.B) {
 					d := getDataset(b, e, cfg)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						n := 0
-						if err := query.HeadScan(d.DB.Graph(), d.Table, query.True, func(query.HeadRecord) bool {
-							n++
-							return true
-						}); err != nil {
-							b.Fatal(err)
-						}
+						countHeads(b, d, decibel.Expr{})
 					}
 				})
 			}
@@ -270,13 +304,8 @@ func BenchmarkFigure8(b *testing.B) {
 				x, y := figure8Pair(d, r)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					n := 0
-					if err := query.PositiveDiff(d.Table, x, y, func(*decibel.Record) bool {
-						n++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+					rows, qErr := dsQuery(d).Diff(dsName(b, d, x), dsName(b, d, y))
+					countRows(b, rows, qErr)
 				}
 			})
 		}
@@ -296,16 +325,15 @@ func BenchmarkFigure9(b *testing.B) {
 				d := getDataset(b, e, cfg)
 				r := rand.New(rand.NewSource(7))
 				x, y := figure8Pair(d, r)
-				pred := query.ColumnMod(1, 2, 0) // ~50% selectivity
+				// ~50% selectivity over the loader's uniform int32 values.
+				pred := decibel.Col("c1").Ge(0)
+				left, right := dsName(b, d, x), dsName(b, d, y)
+				db, t := dsFacade(d), d.Table.Name()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					n := 0
-					if err := query.VersionJoin(d.Table, x, y, pred, func(query.JoinedPair) bool {
-						n++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+					tuples, qErr := db.Query(t).On(left).Where(pred).
+						JoinOn(db.Query(t).On(right), decibel.On("id", "id")).Tuples()
+					countRows(b, tuples, qErr)
 				}
 			})
 		}
@@ -323,17 +351,12 @@ func BenchmarkFigure10(b *testing.B) {
 		for _, e := range engines {
 			b.Run(fmt.Sprintf("%s/%s", e, strategy), func(b *testing.B) {
 				d := getDataset(b, e, cfg)
-				pred := query.ColumnMod(1, 10, 0) // non-selective: drops ~10%... keeps 10%? rem 0 keeps ~10%
-				pred = query.Not(pred)            // keep ~90%: "very non-selective"
+				// Keeps ~90% of the loader's uniform int32 values: "very
+				// non-selective".
+				pred := decibel.Col("c1").Ge(math.MinInt32 / 5 * 4)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					n := 0
-					if err := query.HeadScan(d.DB.Graph(), d.Table, pred, func(query.HeadRecord) bool {
-						n++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+					countHeads(b, d, pred)
 				}
 			})
 		}
@@ -730,13 +753,7 @@ func BenchmarkAblationBitmapLayout(b *testing.B) {
 			defer d.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n := 0
-				if err := query.HeadScan(d.DB.Graph(), d.Table, query.True, func(query.HeadRecord) bool {
-					n++
-					return true
-				}); err != nil {
-					b.Fatal(err)
-				}
+				countHeads(b, d, decibel.Expr{})
 			}
 		})
 	}

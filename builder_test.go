@@ -175,39 +175,39 @@ func TestQueryBuilderDiffAndJoin(t *testing.T) {
 				t.Fatalf("filtered diff = %v", got)
 			}
 
-			// Version join master ⋈ dev: shared keys 1..9.
-			pairs, jErr := db.Query("products").Join("master", "dev")
-			n := 0
-			for l, r := range pairs {
-				if l.PK() != r.PK() {
-					t.Fatalf("join key mismatch: %d vs %d", l.PK(), r.PK())
+			// Version join master ⋈ dev: shared keys 1..9, in pk order.
+			versionJoin := func(where decibel.Expr) []decibel.JoinTuple {
+				t.Helper()
+				tuples, jErr := db.Query("products").On("master").Where(where).
+					JoinOn(db.Query("products").On("dev"), decibel.On("id", "id")).Tuples()
+				var out []decibel.JoinTuple
+				for tup := range tuples {
+					out = append(out, tup)
+				}
+				if err := jErr(); err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			pairs := versionJoin(decibel.Expr{})
+			for i, p := range pairs {
+				l, r := p[0], p[1]
+				if l.PK() != int64(i+1) || l.PK() != r.PK() {
+					t.Fatalf("pair %d joins %d with %d", i, l.PK(), r.PK())
 				}
 				if l.PK() == 3 {
 					if l.GetFloat64(1) != 1.5 || r.GetFloat64(1) != 99.5 {
 						t.Fatalf("join sides swapped: %g / %g", l.GetFloat64(1), r.GetFloat64(1))
 					}
 				}
-				n++
 			}
-			if err := jErr(); err != nil {
-				t.Fatal(err)
-			}
-			if n != 9 {
-				t.Fatalf("join rows = %d, want 9", n)
+			if len(pairs) != 9 {
+				t.Fatalf("join rows = %d, want 9", len(pairs))
 			}
 
-			// Join with a selective left predicate.
-			pairs, jErr = db.Query("products").
-				Where(decibel.Col("qty").Eq(5)).Join("master", "dev")
-			n = 0
-			for range pairs {
-				n++
-			}
-			if err := jErr(); err != nil {
-				t.Fatal(err)
-			}
-			if n != 1 {
-				t.Fatalf("selective join rows = %d", n)
+			// Join with a selective predicate on the left leg only.
+			if pairs := versionJoin(decibel.Col("qty").Eq(5)); len(pairs) != 1 {
+				t.Fatalf("selective join rows = %d", len(pairs))
 			}
 		})
 	}

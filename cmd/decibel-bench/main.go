@@ -15,6 +15,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"iter"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -24,7 +26,6 @@ import (
 	"decibel"
 	"decibel/bench"
 	"decibel/gitstore"
-	"decibel/query"
 )
 
 // engines under comparison, in the paper's order (short registry
@@ -72,17 +73,58 @@ func check(err error) {
 	}
 }
 
+// facade wraps the dataset's database in the public DB the builder
+// runs on; queries composed with JoinOn must share one.
+func facade(d *bench.Dataset) *decibel.DB { return &decibel.DB{Database: d.DB} }
+
+// query starts a builder query over the dataset's table.
+func query(d *bench.Dataset) *decibel.Query { return facade(d).Query(d.Table.Name()) }
+
+// name resolves a branch ID of the dataset to its name.
+func name(d *bench.Dataset, id decibel.BranchID) string {
+	b, ok := d.DB.Graph().Branch(id)
+	if !ok {
+		check(fmt.Errorf("no branch %d", id))
+	}
+	return b.Name
+}
+
+// drain counts the rows of a builder iterator.
+func drain[T any](seq iter.Seq[T], qErr func() error) int {
+	n := 0
+	for range seq {
+		n++
+	}
+	check(qErr())
+	return n
+}
+
+// drain2 is drain for the two-value iterators (Annotated).
+func drain2[A, B any](seq iter.Seq2[A, B], qErr func() error) int {
+	n := 0
+	for range seq {
+		n++
+	}
+	check(qErr())
+	return n
+}
+
+// The paper's predicates are "Int32 column mod m": over the uniform
+// int32 values the loader writes, a range on c1 selects the same share.
+var (
+	halfOfC1      = decibel.Col("c1").Ge(0)                     // ~50%, Q3
+	ninetyPctOfC1 = decibel.Col("c1").Ge(math.MinInt32 / 5 * 4) // ~90%, Q4
+)
+
 func timeScan(d *bench.Dataset, b decibel.BranchID) (time.Duration, int) {
 	t0 := time.Now()
-	n := 0
-	check(query.SingleVersionScan(d.Table, b, query.True, func(*decibel.Record) bool { n++; return true }))
+	n := drain(query(d).On(name(d, b)).Rows())
 	return time.Since(t0), n
 }
 
 func timeHeads(d *bench.Dataset) (time.Duration, int) {
 	t0 := time.Now()
-	n := 0
-	check(query.HeadScan(d.DB.Graph(), d.Table, query.True, func(query.HeadRecord) bool { n++; return true }))
+	n := drain2(query(d).Heads().Annotated())
 	return time.Since(t0), n
 }
 
@@ -190,8 +232,7 @@ func fig8() {
 			a, b := pair(d, r)
 			run := func() (time.Duration, int) {
 				t0 := time.Now()
-				n := 0
-				check(query.PositiveDiff(d.Table, a, b, func(*decibel.Record) bool { n++; return true }))
+				n := drain(query(d).Diff(name(d, a), name(d, b)))
 				return time.Since(t0), n
 			}
 			run()
@@ -211,11 +252,11 @@ func fig9() {
 			d, done := load(e, cfg)
 			r := rand.New(rand.NewSource(7))
 			a, b := pair(d, r)
-			pred := query.ColumnMod(1, 2, 0)
+			db, t := facade(d), d.Table.Name()
 			run := func() (time.Duration, int) {
 				t0 := time.Now()
-				n := 0
-				check(query.VersionJoin(d.Table, a, b, pred, func(query.JoinedPair) bool { n++; return true }))
+				n := drain(db.Query(t).On(name(d, a)).Where(halfOfC1).
+					JoinOn(db.Query(t).On(name(d, b)), decibel.On("id", "id")).Tuples())
 				return time.Since(t0), n
 			}
 			run()
@@ -233,11 +274,9 @@ func fig10() {
 		cfg := cfgFor(s, *flagNBranches, *flagPerBranch)
 		for _, e := range engines {
 			d, done := load(e, cfg)
-			pred := query.Not(query.ColumnMod(1, 10, 0))
 			run := func() (time.Duration, int) {
 				t0 := time.Now()
-				n := 0
-				check(query.HeadScan(d.DB.Graph(), d.Table, pred, func(query.HeadRecord) bool { n++; return true }))
+				n := drain2(query(d).Heads().Where(ninetyPctOfC1).Annotated())
 				return time.Since(t0), n
 			}
 			run()

@@ -277,11 +277,12 @@ func ExampleDB_Query() {
 	}
 
 	// Q3: join the two versions of the discounted product.
-	pairs, jErr := db.Query("products").
+	pairs, jErr := db.Query("products").On("master").
 		Where(decibel.Col("id").Eq(2)).
-		Join("master", "dev")
-	for left, right := range pairs {
-		fmt.Printf("pk=%d master=%.2f dev=%.2f\n", left.PK(), left.GetFloat64(1), right.GetFloat64(1))
+		JoinOn(db.Query("products").On("dev"), decibel.On("id", "id")).
+		Tuples()
+	for tup := range pairs {
+		fmt.Printf("pk=%d master=%.2f dev=%.2f\n", tup[0].PK(), tup[0].GetFloat64(1), tup[1].GetFloat64(1))
 	}
 	if err := jErr(); err != nil {
 		log.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"decibel"
-	"decibel/query"
 )
 
 func main() {
@@ -34,11 +33,17 @@ func main() {
 	if _, err := db.CreateTable("events", schema); err != nil {
 		log.Fatal(err)
 	}
-	master, _, err := db.Init("event stream")
-	if err != nil {
+	if _, _, err := db.Init("event stream"); err != nil {
 		log.Fatal(err)
 	}
 	events, _ := db.Table("events")
+	count := func(branch string) int {
+		n, err := db.Query("events").On(branch).Count()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return n
+	}
 
 	ingest := func(message string, from, to int64) *decibel.Commit {
 		c, err := db.Commit("master", func(tx *decibel.Tx) error {
@@ -102,16 +107,19 @@ func main() {
 
 	// The analysis branch still has exactly the day-1 population, with
 	// the cleaning applied; mainline has moved on.
-	nAnalysis, _ := query.Count(events, analysis.ID, query.True)
-	nMainline, _ := query.Count(events, master.ID, query.True)
-	maxAnalysis, _ := query.Sum(events, analysis.ID, 2, func(r *decibel.Record) bool { return r.Get(2) > 50 })
+	over50, err := db.Query("events").On(analysis.Name).Where(decibel.Col("score").Gt(50)).Sum("score")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("analysis branch: %d events (day-1 only), capped %d outliers, scores>50 remaining: %d\n",
-		nAnalysis, len(outliers), maxAnalysis)
-	fmt.Printf("mainline:        %d events (ingestion kept going)\n", nMainline)
+		count(analysis.Name), len(outliers), int64(over50))
+	fmt.Printf("mainline:        %d events (ingestion kept going)\n", count(decibel.Master))
 
 	// A second experiment forks from the same snapshot to try a
 	// different strategy — cheap, because branches share storage.
-	alt, _ := db.Database.Branch("score-dropping", snapshot.ID)
+	if _, err := db.Database.Branch("score-dropping", snapshot.ID); err != nil {
+		log.Fatal(err)
+	}
 	if _, err := db.Commit("score-dropping", func(tx *decibel.Tx) error {
 		tx.SetMessage("dropped outliers instead")
 		for _, pk := range outliers {
@@ -123,8 +131,7 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	nAlt, _ := query.Count(events, alt.ID, query.True)
-	fmt.Printf("alt strategy:    %d events after dropping outliers\n", nAlt)
+	fmt.Printf("alt strategy:    %d events after dropping outliers\n", count("score-dropping"))
 
 	// Reproducibility: re-read the exact day-1 snapshot at any time.
 	n := 0

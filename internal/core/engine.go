@@ -11,6 +11,7 @@ import (
 	"decibel/internal/compact"
 	"decibel/internal/heap"
 	"decibel/internal/record"
+	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
 
@@ -160,10 +161,14 @@ type Factory func(env *Env) (Engine, error)
 // engine hook runs, so engines may consult env.Graph for parents,
 // sequence numbers and LCAs.
 //
-// Write operations address branch heads ("it is expected that most
-// operations will occur on the heads of the branches"); reads address
-// either branch heads (ScanBranch, ScanMulti, Diff) or any committed
-// version (ScanCommit).
+// The three schemes differ only in record placement, bitmap
+// organisation and lineage, so the contract is their storage hooks
+// plus one read primitive: PartitionScan splits any scan shape — branch
+// head, committed version, multi-branch, diff — into per-segment units
+// the Table executor runs (RunScan), and LookupPK answers a single-key
+// head read without a scan. Write operations address branch heads ("it
+// is expected that most operations will occur on the heads of the
+// branches"); reads address branch heads or any committed version.
 type Engine interface {
 	// Kind returns the scheme name: "tuple-first", "version-first" or
 	// "hybrid".
@@ -186,25 +191,36 @@ type Engine interface {
 	// on each update).
 	Insert(branch vgraph.BranchID, rec *record.Record) error
 
+	// InsertBatch is Insert for a batch, taking the engine's internal
+	// lock once per batch instead of once per record. On error a prefix
+	// of the batch may have been applied.
+	InsertBatch(branch vgraph.BranchID, recs []*record.Record) error
+
 	// Delete removes the record with the given primary key from the
 	// branch head. Deleting an absent key is a no-op returning nil.
 	Delete(branch vgraph.BranchID, pk int64) error
 
-	// ScanBranch emits every record live in the branch head (Query 1).
-	ScanBranch(branch vgraph.BranchID, fn ScanFunc) error
+	// PartitionScan splits a scan into units in sequential visit order
+	// (see ScanUnit), snapshotting under the engine lock whatever the
+	// scan reads — bitmaps, segment tables, resolved live sets — so each
+	// unit runs without further coordination. Records are emitted under
+	// the schema of the spec a unit runs with. The returned release
+	// func must be called exactly once after the last unit finishes: it
+	// unpins the segments the partition references, which is what lets
+	// a concurrent compaction retire replaced segment files only after
+	// every in-flight reader drains. release is non-nil whenever err is
+	// nil.
+	PartitionScan(req ScanRequest) ([]ScanUnit, func(), error)
 
-	// ScanCommit emits every record live in the given committed
-	// version; this is how a checked-out historical version is read.
-	ScanCommit(c *vgraph.Commit, fn ScanFunc) error
-
-	// ScanMulti emits every record live in at least one of the branch
-	// heads, annotated with its membership (Query 4).
-	ScanMulti(branches []vgraph.BranchID, fn MultiScanFunc) error
-
-	// Diff streams the symmetric difference of two branch heads
-	// (Query 2): records live in a but not b (inA=true) and records
-	// live in b but not a (inA=false).
-	Diff(a, b vgraph.BranchID, fn DiffFunc) error
+	// LookupPK resolves one primary key against a branch head through
+	// the engine's key index (or, for version-first, its resolved live
+	// set), skipping the segment walk. The spec's predicate and
+	// projection still run on the looked-up record — the index only
+	// replaces the walk, never the filter — so a served lookup is
+	// exactly equivalent to a scan whose predicate admits at most that
+	// key. ok=false means the engine cannot serve it (no index for the
+	// branch, say) and the caller must scan.
+	LookupPK(branch vgraph.BranchID, pk int64, spec *ScanSpec, fn ScanFunc) (ok bool, err error)
 
 	// Merge merges the head of branch other into branch into. mc is the
 	// already-created merge commit (its Parents are the two heads, its
@@ -212,6 +228,18 @@ type Engine interface {
 	// the head of into reflects the merged state and mc is its
 	// committed snapshot.
 	Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind MergeKind) (MergeStats, error)
+
+	// CompactSegments runs one compaction pass: it merges runs of small
+	// frozen segments, drops tombstoned rows no read can reach, and
+	// re-encodes frozen segments into compressed pages — all under the
+	// engine's own catalog-swap crash-safety protocol (tuple-first and
+	// version-first compress only; their layouts pin physical slot
+	// numbering).
+	CompactSegments(opt compact.Options) (compact.Stats, error)
+
+	// SegmentStats reports each segment's row count, schema-version id
+	// and zone map.
+	SegmentStats() []store.SegmentStat
 
 	// Stats reports the storage footprint.
 	Stats() (Stats, error)

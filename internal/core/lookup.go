@@ -8,19 +8,6 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// PKLookupScanner is an optional engine capability: resolve a single
-// primary key against a branch head through the engine's primary-key
-// index, skipping the segment scan entirely. The spec's predicate and
-// projection still run on the looked-up record — the index only
-// replaces the walk, never the filter — so the capability is exactly
-// equivalent to a full scan whose predicate admits at most that key.
-// ok=false means the engine cannot serve the lookup from its index
-// (no index for the branch, say) and the caller must fall back to a
-// scan.
-type PKLookupScanner interface {
-	LookupPKPushdown(branch vgraph.BranchID, pk int64, spec *ScanSpec, fn ScanFunc) (ok bool, err error)
-}
-
 // pointLookups counts branch-head reads served from a primary-key
 // index instead of a segment scan, alongside the segment counters in
 // internal/store.
@@ -37,24 +24,19 @@ func init() {
 // decibel.point_lookups exposes the same number).
 func CountPointLookups() int64 { return pointLookups.Load() }
 
-// LookupPKPushdownContext serves a branch-head read whose predicate
-// pins the primary key to a single value from the engine's pk index.
-// It reports ok=false — caller falls back to ScanPushdownContext —
-// when the engine lacks the capability or cannot answer from its
-// index.
-func (t *Table) LookupPKPushdownContext(ctx context.Context, branch vgraph.BranchID, pk int64, spec *ScanSpec, fn ScanFunc) (bool, error) {
+// LookupPK serves a branch-head read whose predicate pins the primary
+// key to a single value from the engine's key resolution (Engine.LookupPK)
+// instead of a partitioned scan. It reports ok=false — the caller falls
+// back to RunScan — when the engine cannot answer from its index.
+func (t *Table) LookupPK(ctx context.Context, branch vgraph.BranchID, pk int64, spec *ScanSpec, fn ScanFunc) (bool, error) {
 	if err := t.db.beginOp(); err != nil {
 		return false, err
 	}
 	defer t.db.endOp()
-	ls, ok := t.engine.(PKLookupScanner)
-	if !ok || spec == nil {
-		return false, nil
-	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	served, err := ls.LookupPKPushdown(branch, pk, spec, ctxScanFunc(ctx, fn))
+	served, err := t.engine.LookupPK(branch, pk, spec, fn)
 	if err != nil || !served {
 		return served, err
 	}

@@ -15,18 +15,19 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// Parallel scan execution. Engines with the ParallelScanner capability
-// split a pushdown scan into per-segment units (PartitionScan); the
-// Database drives the frozen units on a bounded worker pool shared by
-// every table, while units over mutable branch heads run on the
-// caller's goroutine under the exact snapshot rules of the sequential
-// paths. Units are emitted in sequential visit order and each unit's
-// output is buffered by the caller-provided sink and flushed in unit
-// index order after the join, so a parallel scan's record stream is
-// identical — rows and order — to the sequential scan it replaces.
-// The engines' own sequential pushdown loops are expressed as
-// RunUnitsSequential over the same partitions, so both modes share one
-// scan body per engine.
+// Scan execution. Every read an engine serves — head, commit,
+// multi-branch and diff scans alike — is one call to the engine's
+// PartitionScan, which splits the scan into per-segment units in
+// sequential visit order, and one executor here that runs those units.
+// When the database's worker pool has more than one slot and the
+// partition holds at least two frozen units, the frozen units fan out
+// to the pool (units over mutable branch heads stay on the caller's
+// goroutine, under the exact snapshot rules the engine captured), each
+// unit's output is buffered by its caller-provided sink, and the sinks
+// flush in unit index order after the join — so a parallel scan's
+// record stream is identical, rows and order, to the inline one.
+// Otherwise the same units run inline, in order, streaming straight to
+// the caller.
 
 // ScanKind selects the scan shape a ScanRequest partitions.
 type ScanKind uint8
@@ -64,8 +65,7 @@ type UnitAux struct {
 
 // UnitFunc receives each record one scan unit emits. The record (and
 // aux.Member) may alias engine buffers or per-unit scratch and must be
-// Cloned to be retained. Returning false stops that unit (not its
-// siblings).
+// Cloned to be retained. Returning false stops that unit.
 type UnitFunc func(rec *record.Record, aux UnitAux) bool
 
 // ScanUnit is one independently runnable slice of a partitioned scan —
@@ -73,63 +73,52 @@ type UnitFunc func(rec *record.Record, aux UnitAux) bool
 // Frozen units touch only immutable storage and may run on any
 // goroutine, each with its own ScanSpec clone; non-frozen units (the
 // mutable branch heads) must run on the goroutine that called
-// PartitionScan, preserving the sequential paths' snapshot rules.
+// PartitionScan, preserving the engine's snapshot rules.
 type ScanUnit struct {
 	Frozen bool
 	// Zone and PhysCols describe the unit's segment for order-aware
-	// visiting: the segment's zone map (nil when the engine has none
-	// for this unit) and the physical column count its records are laid
-	// out under. Executors may use them to reorder or early-stop unit
-	// visits only when they can prove the output is unchanged.
+	// visiting and estimates: the segment's zone map (nil when the
+	// engine has none for this unit) and the physical column count its
+	// records are laid out under. Executors may use them to reorder or
+	// skip unit visits only when they can prove the output is unchanged.
 	Zone     *store.ZoneMap
 	PhysCols int
 	Run      func(spec *ScanSpec, fn UnitFunc) error
 }
 
-// ParallelScanner is the optional engine capability behind the parallel
-// scan executor: it splits a scan into units in sequential visit order,
-// snapshotting under the engine lock whatever the matching sequential
-// pushdown path would (bitmaps, segment tables, resolved live sets), so
-// each unit runs without further coordination. The returned release
-// func must be called exactly once after the last unit finishes: it
-// unpins the segments the partition references, which is what lets a
-// concurrent compaction retire replaced segment files only after every
-// in-flight reader drains. release is non-nil whenever err is nil.
-type ParallelScanner interface {
-	PartitionScan(req ScanRequest) ([]ScanUnit, func(), error)
-}
-
-// UnitSink buffers one unit's output. Fn receives the unit's records —
-// from a pool goroutine for frozen units — and Flush delivers the
-// buffered output on the caller's goroutine once every unit has joined;
-// sinks are flushed in unit index order, and a Flush returning false
-// stops the remaining flushes (the scan's consumer stopped).
+// UnitSink consumes one unit's records. Fn receives them — on a pool
+// goroutine when the scan fans out — and a nil Fn skips the unit
+// without running it. Flush (optional) runs on the caller's goroutine
+// once the unit's output is complete: right after the unit when the
+// scan runs inline, in unit index order after the join when it fans
+// out; returning false ends the scan.
+//
+// Inline, Fn returning false ends the whole scan (the consumer
+// stopped). Fanned out, it ends only that unit — a per-unit trim — and
+// the consumer stops the scan from Flush.
 type UnitSink struct {
 	Fn    UnitFunc
 	Flush func() bool
 }
 
-// RunUnitsSequential drives a partition on the calling goroutine in
-// unit order, sharing one spec — the engines' sequential pushdown entry
-// points are this over their own PartitionScan.
-func RunUnitsSequential(units []ScanUnit, spec *ScanSpec, fn UnitFunc) error {
-	stopped := false
-	wrapped := func(rec *record.Record, aux UnitAux) bool {
-		if !fn(rec, aux) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	for _, u := range units {
-		if err := u.Run(spec, wrapped); err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
+// Sink is how the executor hands a partition's units to the consumer.
+type Sink struct {
+	// Unit returns the sink of unit i. It is always called on the
+	// caller's goroutine: inline, right before unit i runs — so it may
+	// decide from what earlier units left, or skip the unit — and when
+	// the scan fans out, once per unit before any runs. parallel reports
+	// which, and with it whether Fn must buffer what it keeps (records
+	// cloned).
+	Unit func(i int, parallel bool) UnitSink
+
+	// Order, when non-nil, returns the inline visit order as unit
+	// indices (units left out never run) and pins the scan inline.
+	Order func(units []ScanUnit) []int
+
+	// Inline pins the scan to the caller's goroutine even when the pool
+	// would accept it: the sequential baseline plans and streaming
+	// reads that must not buffer.
+	Inline bool
 }
 
 // Parallel-scan counters: how many scans ran through the parallel
@@ -180,89 +169,137 @@ func resolveScanWorkers(opt Options) int {
 // scans disabled).
 func (db *Database) ScanWorkers() int { return db.scanWorkers }
 
-// ParallelScanContext partitions the request and drives it on the
-// database's scan pool: frozen units fan out one goroutine per unit
-// (bounded by the pool size), each with its own spec clone and sink;
-// non-frozen units — the mutable branch heads — run on the calling
-// goroutine. Sinks are flushed in unit order after the join, making
-// the merged stream identical to the sequential scan's. The first unit
-// error, or ctx expiring, cancels the sibling units within one record
-// each.
-//
-// It reports handled=false (with no error and nothing emitted) when
-// the scan should take the sequential path instead: the engine lacks
-// the ParallelScanner capability, the pool is sized <= 1, or the
-// partition has fewer than two frozen units to overlap.
-func (t *Table) ParallelScanContext(ctx context.Context, req ScanRequest, spec *ScanSpec, sink func(unit, total int) UnitSink) (bool, error) {
-	ps, ok := t.engine.(ParallelScanner)
-	if !ok || spec == nil || t.db.scanWorkers <= 1 {
-		return false, nil
-	}
+// Partition is one engine partition of a scan, held between
+// partitioning and execution. Run it at most once, on the goroutine
+// that partitioned it (mutable units keep the engine's snapshot rules
+// only there). Its units reference pinned segments, so Release must be
+// called exactly once after the Run: it unpins them, which is what lets
+// a concurrent compaction retire replaced segment files only after
+// every in-flight reader drains.
+type Partition struct {
+	Units   []ScanUnit
+	t       *Table
+	release func()
+}
+
+// Partition asks the engine to partition req, snapshotting under the
+// engine lock whatever the scan reads (bitmaps, segment tables,
+// resolved live sets). Most callers want RunScan; the join executor
+// partitions each relation up front so its zone-map estimates and its
+// scan share one partition.
+func (t *Table) Partition(req ScanRequest) (*Partition, error) {
 	if err := t.db.beginOp(); err != nil {
-		return true, err
+		return nil, err
 	}
 	defer t.db.endOp()
-	units, release, err := ps.PartitionScan(req)
+	units, release, err := t.engine.PartitionScan(req)
 	if err != nil {
-		return true, err
+		return nil, err
 	}
-	defer release()
-	frozen := 0
+	return &Partition{Units: units, t: t, release: release}, nil
+}
+
+// Release unpins the partition's segments.
+func (p *Partition) Release() { p.release() }
+
+// RunScan is the one scan entry point: it partitions req exactly once
+// and runs the units with spec (see Partition.Run).
+func (t *Table) RunScan(ctx context.Context, req ScanRequest, spec *ScanSpec, sink Sink) error {
+	p, err := t.Partition(req)
+	if err != nil {
+		return err
+	}
+	defer p.Release()
+	return p.Run(ctx, spec, sink)
+}
+
+// Run executes the partition's units with spec. Frozen units fan out
+// to the database's pool — one goroutine per unit, bounded by the pool
+// size, each with its own spec clone — when the pool has more than one
+// slot, at least two units are frozen and the sink allows it; every
+// other scan runs its units inline, in order (or in sink.Order), on
+// the calling goroutine. The scan stops within one record of ctx
+// expiring and then returns ctx.Err(); the first unit error cancels the
+// sibling units the same way.
+func (p *Partition) Run(ctx context.Context, spec *ScanSpec, sink Sink) error {
+	db := p.t.db
+	if err := db.beginOp(); err != nil {
+		return err
+	}
+	defer db.endOp()
+	var err error
+	if sink.Order == nil && !sink.Inline && db.scanWorkers > 1 && countFrozen(p.Units) >= 2 {
+		err = db.runParallel(ctx, spec, p.Units, sink)
+	} else {
+		err = runInline(ctx, spec, p.Units, sink)
+	}
+	if err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
+func countFrozen(units []ScanUnit) int {
+	n := 0
 	for _, u := range units {
 		if u.Frozen {
-			frozen++
+			n++
 		}
 	}
-	if frozen < 2 {
-		return false, nil
-	}
-	if err := t.db.runUnits(ctx, spec, units, sink); err != nil {
-		return true, err
-	}
-	return true, ctx.Err()
+	return n
 }
 
-// PartitionUnits exposes the engine's scan partition to executors
-// beyond the pool fan-out — the ordered visitor in internal/query
-// drives units in zone-sorted order with top-k early stop. ok reports
-// whether the engine has the ParallelScanner capability; when it does,
-// release must be called exactly once after the last unit finishes —
-// it unpins the partition's segments (letting a concurrent compaction
-// retire replaced files) and ends the database operation the call
-// began.
-func (t *Table) PartitionUnits(req ScanRequest) (units []ScanUnit, release func(), ok bool, err error) {
-	ps, ok := t.engine.(ParallelScanner)
-	if !ok {
-		return nil, nil, false, nil
+// runInline drives the units on the calling goroutine, sharing one
+// spec: in unit order, or in sink.Order when set.
+func runInline(ctx context.Context, spec *ScanSpec, units []ScanUnit, sink Sink) error {
+	var order []int
+	n := len(units)
+	if sink.Order != nil {
+		order = sink.Order(units)
+		n = len(order)
 	}
-	if err := t.db.beginOp(); err != nil {
-		return nil, nil, true, err
+	for k := 0; k < n; k++ {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		s := sink.Unit(i, false)
+		if s.Fn == nil {
+			continue
+		}
+		stopped := false
+		err := runUnit(ctx, units[i], spec, func(rec *record.Record, aux UnitAux) bool {
+			stopped = !s.Fn(rec, aux)
+			return !stopped
+		})
+		if err != nil {
+			return err
+		}
+		if (s.Flush != nil && !s.Flush()) || stopped || ctx.Err() != nil {
+			return nil
+		}
 	}
-	units, rel, err := ps.PartitionScan(req)
-	if err != nil {
-		t.db.endOp()
-		return nil, nil, true, err
-	}
-	return units, func() { rel(); t.db.endOp() }, true, nil
+	return nil
 }
 
-// runUnits executes a partition: frozen units on pool goroutines,
-// mutable ones inline, per-unit sinks flushed in order after the join.
-func (db *Database) runUnits(ctx context.Context, spec *ScanSpec, units []ScanUnit, sink func(unit, total int) UnitSink) error {
+// runParallel executes a partition on the pool: frozen units on pool
+// goroutines, mutable ones inline, per-unit sinks flushed in order
+// after the join.
+func (db *Database) runParallel(ctx context.Context, spec *ScanSpec, units []ScanUnit, sink Sink) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	n := len(units)
 	sinks := make([]UnitSink, n)
 	for i := range units {
-		sinks[i] = sink(i, n)
+		sinks[i] = sink.Unit(i, true)
 	}
 	parallelScans.Add(1)
 
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range units {
-		if !units[i].Frozen {
+		if !units[i].Frozen || sinks[i].Fn == nil {
 			continue
 		}
 		wg.Add(1)
@@ -280,7 +317,7 @@ func (db *Database) runUnits(ctx context.Context, spec *ScanSpec, units []ScanUn
 		}(i)
 	}
 	for i := range units {
-		if units[i].Frozen {
+		if units[i].Frozen || sinks[i].Fn == nil {
 			continue
 		}
 		if cctx.Err() != nil {
@@ -293,7 +330,7 @@ func (db *Database) runUnits(ctx context.Context, spec *ScanSpec, units []ScanUn
 	wg.Wait()
 
 	// Surface the error of the earliest failing unit — the one the
-	// sequential scan would have hit first.
+	// inline scan would have hit first.
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -303,17 +340,20 @@ func (db *Database) runUnits(ctx context.Context, spec *ScanSpec, units []ScanUn
 		return err
 	}
 	for i := range sinks {
-		if !sinks[i].Flush() {
+		if sinks[i].Flush != nil && !sinks[i].Flush() {
 			return nil
 		}
 	}
 	return nil
 }
 
-// runUnit runs one unit with cancellation checked per record.
+// runUnit runs one unit with cancellation checked per record; contexts
+// that can never be canceled pass fn through untouched.
 func runUnit(ctx context.Context, u ScanUnit, spec *ScanSpec, fn UnitFunc) error {
-	wrapped := func(rec *record.Record, aux UnitAux) bool {
-		return ctx.Err() == nil && fn(rec, aux)
+	if ctx.Done() == nil {
+		return u.Run(spec, fn)
 	}
-	return u.Run(spec, wrapped)
+	return u.Run(spec, func(rec *record.Record, aux UnitAux) bool {
+		return ctx.Err() == nil && fn(rec, aux)
+	})
 }

@@ -1,20 +1,17 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/record"
-	"decibel/internal/vgraph"
 )
 
 // ScanSpec is the part of a logical query plan an engine can execute
 // inside its own scan loops: a predicate evaluated on the raw encoded
 // record before it is materialized, and a column projection applied to
 // the records that survive it. The planner in internal/query compiles
-// name-based typed predicates down to the raw form; engines that
-// implement PushdownScanner evaluate it per heap slot and skip the
+// name-based typed predicates down to the raw form; every engine's
+// scan units evaluate it per heap slot and skip the
 // record-materialization (and, for multi-branch scans, whole pages)
 // for rows that cannot match.
 //
@@ -171,246 +168,4 @@ func (sp *ScanSpec) project(src *record.Record) *record.Record {
 		copy(dst.ColumnBytes(i), src.ColumnBytes(c))
 	}
 	return dst
-}
-
-// filter wraps a ScanFunc so a record-level scan (the generic fallback
-// for engines without the pushdown capability) applies the spec above
-// the engine. An Apply failure stops the scan and is stored in *errp
-// for the caller to surface.
-func (sp *ScanSpec) filter(fn ScanFunc, errp *error) ScanFunc {
-	if sp == nil {
-		return fn
-	}
-	return func(rec *record.Record) bool {
-		out, err := sp.Apply(rec.Bytes())
-		if err != nil {
-			*errp = err
-			return false
-		}
-		if out == nil {
-			return true
-		}
-		return fn(out)
-	}
-}
-
-// filterMulti is filter for the membership-annotated callback shape.
-func (sp *ScanSpec) filterMulti(fn MultiScanFunc, errp *error) MultiScanFunc {
-	if sp == nil {
-		return fn
-	}
-	return func(rec *record.Record, m *bitmap.Bitmap) bool {
-		out, err := sp.Apply(rec.Bytes())
-		if err != nil {
-			*errp = err
-			return false
-		}
-		if out == nil {
-			return true
-		}
-		return fn(out, m)
-	}
-}
-
-// filterDiff is filter for the diff callback shape.
-func (sp *ScanSpec) filterDiff(fn DiffFunc, errp *error) DiffFunc {
-	if sp == nil {
-		return fn
-	}
-	return func(rec *record.Record, inA bool) bool {
-		out, err := sp.Apply(rec.Bytes())
-		if err != nil {
-			*errp = err
-			return false
-		}
-		if out == nil {
-			return true
-		}
-		return fn(out, inA)
-	}
-}
-
-// PushdownScanner is the optional engine capability behind the query
-// builder's fast paths. Engines that implement it receive the compiled
-// ScanSpec and evaluate it inside their own scan loops — before
-// materializing records, and for ScanMultiPushdown in one pass over
-// the union of the branches' liveness bitmaps instead of one rescan
-// per branch. Engines that do not implement it are driven through
-// their plain Scan* entry points with the spec applied above them.
-type PushdownScanner interface {
-	// ScanBranchPushdown is ScanBranch with the spec applied in the
-	// engine's scan loop.
-	ScanBranchPushdown(branch vgraph.BranchID, spec *ScanSpec, fn ScanFunc) error
-
-	// ScanCommitPushdown is ScanCommit with the spec applied in the
-	// engine's scan loop.
-	ScanCommitPushdown(c *vgraph.Commit, spec *ScanSpec, fn ScanFunc) error
-
-	// ScanMultiPushdown is ScanMulti with the spec applied in the
-	// engine's scan loop, executed as a single pass using bitmap
-	// union/intersection where the engine's layout allows it.
-	ScanMultiPushdown(branches []vgraph.BranchID, spec *ScanSpec, fn MultiScanFunc) error
-}
-
-// DiffScanner is the optional engine capability behind predicate
-// pushdown for Diff (Query 2): engines that implement it evaluate the
-// compiled ScanSpec — predicate, projection and zone-map pruning —
-// inside their XOR/lineage diff loops, instead of the executor
-// post-filtering fully materialized records. Engines without it are
-// driven through their plain Diff with the spec applied above.
-type DiffScanner interface {
-	// ScanDiffPushdown is Diff with the spec applied in the engine's
-	// diff loop. The spec's epoch must resolve both branches' schemas
-	// (the max of the two head epochs, like Diff's own emission).
-	ScanDiffPushdown(a, b vgraph.BranchID, spec *ScanSpec, fn DiffFunc) error
-}
-
-// BatchInserter is the optional engine capability behind InsertBatch:
-// engines that implement it take their internal lock once per batch
-// instead of once per record.
-type BatchInserter interface {
-	InsertBatch(branch vgraph.BranchID, recs []*record.Record) error
-}
-
-// ScanPushdown emits the records live in a branch head that satisfy
-// the spec, letting the engine evaluate it when it can (predicate and
-// projection pushdown); see ScanSpec.
-func (t *Table) ScanPushdown(branch vgraph.BranchID, spec *ScanSpec, fn ScanFunc) error {
-	return t.ScanPushdownContext(context.Background(), branch, spec, fn)
-}
-
-// ScanPushdownContext is ScanPushdown bounded by a context.
-func (t *Table) ScanPushdownContext(ctx context.Context, branch vgraph.BranchID, spec *ScanSpec, fn ScanFunc) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	wrapped := ctxScanFunc(ctx, fn)
-	var err, ferr error
-	if ps, ok := t.engine.(PushdownScanner); ok && spec != nil {
-		err = ps.ScanBranchPushdown(branch, spec, wrapped)
-	} else {
-		err = t.engine.ScanBranch(branch, spec.filter(wrapped, &ferr))
-	}
-	if err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// ScanCommitPushdown is ScanPushdown against a committed version.
-func (t *Table) ScanCommitPushdown(c *vgraph.Commit, spec *ScanSpec, fn ScanFunc) error {
-	return t.ScanCommitPushdownContext(context.Background(), c, spec, fn)
-}
-
-// ScanCommitPushdownContext is ScanCommitPushdown bounded by a context.
-func (t *Table) ScanCommitPushdownContext(ctx context.Context, c *vgraph.Commit, spec *ScanSpec, fn ScanFunc) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	wrapped := ctxScanFunc(ctx, fn)
-	var err, ferr error
-	if ps, ok := t.engine.(PushdownScanner); ok && spec != nil {
-		err = ps.ScanCommitPushdown(c, spec, wrapped)
-	} else {
-		err = t.engine.ScanCommit(c, spec.filter(wrapped, &ferr))
-	}
-	if err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// ScanMultiPushdown emits the records live in any of the branch heads
-// that satisfy the spec, with membership annotations. Engines with the
-// PushdownScanner capability execute this as one pass over the union
-// of the branches' bitmaps rather than one rescan per branch.
-func (t *Table) ScanMultiPushdown(branches []vgraph.BranchID, spec *ScanSpec, fn MultiScanFunc) error {
-	return t.ScanMultiPushdownContext(context.Background(), branches, spec, fn)
-}
-
-// ScanMultiPushdownContext is ScanMultiPushdown bounded by a context.
-func (t *Table) ScanMultiPushdownContext(ctx context.Context, branches []vgraph.BranchID, spec *ScanSpec, fn MultiScanFunc) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	wrapped := ctxWrap2(ctx, fn)
-	var err, ferr error
-	if ps, ok := t.engine.(PushdownScanner); ok && spec != nil {
-		err = ps.ScanMultiPushdown(branches, spec, wrapped)
-	} else {
-		err = t.engine.ScanMulti(branches, spec.filterMulti(wrapped, &ferr))
-	}
-	if err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// ScanDiffPushdown streams the symmetric difference of two branch
-// heads with the spec evaluated as deep as the engine allows: engines
-// with the DiffScanner capability apply predicate, projection and
-// zone-map segment pruning inside their diff loops; others run their
-// plain Diff with the spec applied above it.
-func (t *Table) ScanDiffPushdown(a, b vgraph.BranchID, spec *ScanSpec, fn DiffFunc) error {
-	return t.ScanDiffPushdownContext(context.Background(), a, b, spec, fn)
-}
-
-// ScanDiffPushdownContext is ScanDiffPushdown bounded by a context.
-func (t *Table) ScanDiffPushdownContext(ctx context.Context, a, b vgraph.BranchID, spec *ScanSpec, fn DiffFunc) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	wrapped := ctxWrap2(ctx, fn)
-	var err, ferr error
-	if ds, ok := t.engine.(DiffScanner); ok && spec != nil {
-		err = ds.ScanDiffPushdown(a, b, spec, wrapped)
-	} else {
-		err = t.engine.Diff(a, b, spec.filterDiff(wrapped, &ferr))
-	}
-	if err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// InsertBatch upserts a batch of records into a branch head in one
-// engine call, amortizing the engine's per-record locking; engines
-// without the BatchInserter capability fall back to per-record
-// inserts. On error, a prefix of the batch may have been applied —
-// like single Inserts, batches become atomic only at commit.
-func (t *Table) InsertBatch(branch vgraph.BranchID, recs []*record.Record) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	for _, rec := range recs {
-		if err := t.checkWrite(branch, rec.Schema()); err != nil {
-			return err
-		}
-	}
-	if bi, ok := t.engine.(BatchInserter); ok {
-		return bi.InsertBatch(branch, recs)
-	}
-	for _, rec := range recs {
-		if err := t.engine.Insert(branch, rec); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -8,12 +8,9 @@ import (
 
 	"decibel/internal/bitmap"
 	"decibel/internal/compact"
-	"decibel/internal/core"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
-
-var _ core.Compactor = (*Engine)(nil)
 
 // segFilePath returns the data file of a segment under the given
 // encoding: seg<id>.dat for heap files (the legacy name, so existing
@@ -25,7 +22,7 @@ func (e *Engine) segFilePath(id segID, enc string) string {
 	return e.segPath(id)
 }
 
-// CompactSegments implements core.Compactor for the hybrid scheme, the
+// CompactSegments implements core.Engine for the hybrid scheme, the
 // only engine whose layout permits physical merging: liveness lives in
 // per-(segment, branch) bitmaps and per-(branch, segment) commit logs,
 // both of which can be remapped to new slots, so runs of small frozen

@@ -220,8 +220,21 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 		t.Fatal("master bitmap missing in dev's segment after merge")
 	}
 	// The record is now visible in master without copying it.
+	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindBranch, Branch: master.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	spec, err := core.NewScanSpecAt(env.History(), 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := 0
-	e.ScanBranch(master.ID, func(r *record.Record) bool { n++; return true })
+	for _, u := range units {
+		if err := u.Run(spec, func(*record.Record, core.UnitAux) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if n != 1 {
 		t.Fatalf("master sees %d records", n)
 	}

@@ -3,42 +3,34 @@ package hy
 import (
 	"decibel/internal/bitmap"
 	"decibel/internal/core"
-	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
 
-// Pushdown scans (core.PushdownScanner, core.DiffScanner,
-// core.ParallelScanner). Hybrid keeps per-(segment, branch) bitmaps,
-// so pushed-down predicates are evaluated on the raw segment page
-// buffer before records are materialized, and a multi-branch scan ORs
-// each segment's local branch bitmaps into one union per segment —
-// each qualifying segment is read once for all requested branches
-// instead of once per branch. Segments are skipped entirely two ways:
-// via the global branch-segment relation (no live record in any
-// requested branch) and via their zone maps (no stored value can
-// satisfy the spec's bounds).
+// Pushdown scans (core.Engine.PartitionScan). Hybrid keeps
+// per-(segment, branch) bitmaps, so pushed-down predicates are
+// evaluated on the raw segment page buffer before records are
+// materialized, and a multi-branch scan ORs each segment's local
+// branch bitmaps into one union per segment — each qualifying segment
+// is read once for all requested branches instead of once per branch.
+// Segments are skipped entirely two ways: via the global
+// branch-segment relation (no live record in any requested branch)
+// and via their zone maps (no stored value can satisfy the spec's
+// bounds).
 //
 // Every scan shape is partitioned into one core.ScanUnit per segment
 // (PartitionScan), with the liveness bitmaps snapshotted under the
-// engine lock; the sequential entry points drive the same units via
-// core.RunUnitsSequential, so the parallel executor and the sequential
-// scans share one loop body.
+// engine lock; the core executor runs the units inline or fans the
+// frozen ones out, so both modes share one loop body.
 
-var (
-	_ core.PushdownScanner = (*Engine)(nil)
-	_ core.DiffScanner     = (*Engine)(nil)
-	_ core.BatchInserter   = (*Engine)(nil)
-	_ core.PKLookupScanner = (*Engine)(nil)
-	_ core.ParallelScanner = (*Engine)(nil)
-)
+var _ core.Engine = (*Engine)(nil)
 
-// LookupPKPushdown implements core.PKLookupScanner: a branch-head read
-// of one primary key answered from the per-branch pk index instead of
-// the segment walk. The index maps the key to its live (segment, slot)
+// LookupPK implements core.Engine: a branch-head read of one primary
+// key answered from the per-branch pk index instead of the segment
+// walk. The index maps the key to its live (segment, slot)
 // position; the spec's full predicate and projection run on that one
 // record, so the result is identical to the scan it replaces.
-func (e *Engine) LookupPKPushdown(branch vgraph.BranchID, pk int64, spec *core.ScanSpec, fn core.ScanFunc) (bool, error) {
+func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64, spec *core.ScanSpec, fn core.ScanFunc) (bool, error) {
 	e.mu.Lock()
 	idx, ok := e.pk[branch]
 	if !ok {
@@ -73,18 +65,6 @@ func (e *Engine) LookupPKPushdown(branch vgraph.BranchID, pk int64, spec *core.S
 		fn(rec)
 	}
 	return true, nil
-}
-
-// passSpec is the match-all, project-nothing spec the plain Scan*
-// entry points delegate through, so the engine has exactly one copy of
-// each scan loop. epoch selects the schema version records are emitted
-// under.
-func (e *Engine) passSpec(epoch int) *core.ScanSpec {
-	sp, err := core.NewScanSpecAt(e.hist, epoch, nil, nil)
-	if err != nil {
-		panic(err) // no projection: cannot fail
-	}
-	return sp
 }
 
 // segUnit builds the scan unit of one segment: zone-map pruning, spec
@@ -159,11 +139,11 @@ func (g *pinGroup) release() {
 	}
 }
 
-// PartitionScan implements core.ParallelScanner: one unit per segment
-// holding live records of the request, in the order the sequential
-// scans visit them, with all shared state (bitmaps, checkout
-// snapshots) captured under the engine lock at partition time. Every
-// segment a unit references is pinned until release is called.
+// PartitionScan implements core.Engine: one unit per segment holding
+// live records of the request, in segment visit order, with all shared
+// state (bitmaps, checkout snapshots) captured under the engine lock at
+// partition time. Every segment a unit references is pinned until
+// release is called.
 func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -258,48 +238,4 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 		return units, g.release, nil
 	}
 	return nil, g.release, nil
-}
-
-// ScanBranchPushdown implements core.PushdownScanner.
-func (e *Engine) ScanBranchPushdown(branch vgraph.BranchID, spec *core.ScanSpec, fn core.ScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindBranch, Branch: branch})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
-}
-
-// ScanCommitPushdown implements core.PushdownScanner.
-func (e *Engine) ScanCommitPushdown(c *vgraph.Commit, spec *core.ScanSpec, fn core.ScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindCommit, Commit: c})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
-}
-
-// ScanDiffPushdown implements core.DiffScanner: per-segment bitmap
-// XORs over only the segments live in either branch, with zone-map
-// pruning and the spec evaluated on the raw buffer before either
-// output side materializes a record.
-func (e *Engine) ScanDiffPushdown(a, b vgraph.BranchID, spec *core.ScanSpec, fn core.DiffFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindDiff, A: a, B: b})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
-}
-
-// ScanMultiPushdown implements core.PushdownScanner: one pass per
-// qualifying segment under the union of its local branch bitmaps.
-func (e *Engine) ScanMultiPushdown(branches []vgraph.BranchID, spec *core.ScanSpec, fn core.MultiScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindMulti, Branches: branches})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
 }

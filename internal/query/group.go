@@ -23,10 +23,8 @@ import (
 	"fmt"
 	"math"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
-	"decibel/internal/vgraph"
 )
 
 // AggSpec names one grouped aggregate: the fold kind and, for every
@@ -178,27 +176,7 @@ func (g *groupFold) observe(pick func(rel int) *record.Record) {
 		g.order = append(g.order, key)
 	}
 	for i, a := range g.aggs {
-		p := &acc.parts[i]
-		p.n++
-		if a.kind == AggCount {
-			continue
-		}
-		rec := pick(a.rel)
-		var v float64
-		if a.isFloat {
-			v = rec.GetFloat64(a.col)
-			p.fsum += v
-		} else {
-			iv := rec.Get(a.col)
-			p.isum += iv
-			v = float64(iv)
-		}
-		if p.n == 1 || v < p.fmin {
-			p.fmin = v
-		}
-		if p.n == 1 || v > p.fmax {
-			p.fmax = v
-		}
+		acc.parts[i].observe(a.kind, pick(a.rel), a.col, a.isFloat)
 	}
 }
 
@@ -373,37 +351,8 @@ func (c *Compiled) GroupScan(ctx context.Context, aggs []AggSpec, fn func(*Group
 	}
 
 	fold := newGroupFold(keys, acols)
-	var req core.ScanRequest
-	var ids []vgraph.BranchID
-	if c.plan.AllHeads || len(c.branches) > 1 {
-		ids = make([]vgraph.BranchID, len(c.branches))
-		for i, b := range c.branches {
-			ids[i] = b.ID
-		}
-		req = core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids}
-	} else if c.commit != nil {
-		req = core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
-	} else {
-		req = core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
-	}
-	if handled, perr := c.tryParallelGroups(ctx, req, spec, fold); handled || perr != nil {
-		if perr != nil {
-			return perr
-		}
-	} else {
-		acc := func(rec *record.Record) bool { fold.add(rec); return true }
-		if ids != nil {
-			err = c.table.ScanMultiPushdownContext(ctx, ids, spec, func(rec *record.Record, _ *bitmap.Bitmap) bool {
-				return acc(rec)
-			})
-		} else if c.commit != nil {
-			err = c.table.ScanCommitPushdownContext(ctx, c.commit, spec, acc)
-		} else {
-			err = c.table.ScanPushdownContext(ctx, c.branches[0].ID, spec, acc)
-		}
-		if err != nil {
-			return err
-		}
+	if err := c.table.RunScan(ctx, c.scanRequest(), spec, foldSink(c.plan.NoParallel, fold)); err != nil {
+		return err
 	}
 	fold.emit(fn)
 	return nil

@@ -57,19 +57,18 @@ type joinEdge struct {
 	bytesKey          bool
 }
 
-// joinPlan is the compiled join: the relations in declaration order,
-// the edges between them, and the zone-map row estimate per relation.
+// joinPlan is the compiled join: the relations in declaration order
+// and the edges between them.
 type joinPlan struct {
 	rels  []*Compiled
 	edges []joinEdge
-	ests  []int64
 }
 
 // compileJoins resolves the plan's join legs: each leg compiles as its
 // own single-table plan (predicate/projection/bounds pushdown falls
-// out of the leg's ScanSpec), the join keys resolve against the
-// relations' output schemas, and the relations' cardinalities are
-// estimated from zone maps for the greedy ordering.
+// out of the leg's ScanSpec) and the join keys resolve against the
+// relations' output schemas. Cardinalities are estimated at execution,
+// from the partitions the relations' scans run.
 func (c *Compiled) compileJoins(db *core.Database) error {
 	p := c.plan
 	if p.AllHeads || len(c.branches) != 1 {
@@ -136,7 +135,6 @@ func (c *Compiled) compileJoins(db *core.Database) error {
 		rels = append(rels, rc)
 	}
 	c.join = &joinPlan{rels: rels, edges: edges}
-	c.join.estimate()
 	return nil
 }
 
@@ -175,46 +173,61 @@ func joinKeyKind(t record.Type, name string) (bytesKey bool, err error) {
 	return false, fmt.Errorf("%w: column %q: %v keys are not joinable", core.ErrBadQuery, name, t)
 }
 
-// estimate fills the per-relation cardinality estimates.
-func (jp *joinPlan) estimate() {
-	jp.ests = make([]int64, len(jp.rels))
+// relScan is one relation's share of a join execution: its zone-map
+// row estimate and, unless the relation is a point lookup served from
+// the key index, the partition its scan runs.
+type relScan struct {
+	est  int64
+	part *core.Partition
+}
+
+// partition prepares every relation's scan: each is partitioned once,
+// and the greedy orderer's estimate reads the same partition's zone
+// maps the scan then runs — no second partition, no page read. The
+// caller must release the result.
+func (jp *joinPlan) partition() ([]relScan, error) {
+	scans := make([]relScan, len(jp.rels))
 	for i, r := range jp.rels {
-		jp.ests[i] = r.estimateRows()
+		if _, point := r.pointPK(); point && r.commit == nil {
+			scans[i].est = 1 // at most one live row; Scan serves it from the index
+			continue
+		}
+		p, err := r.table.Partition(r.scanRequest())
+		if err != nil {
+			releaseScans(scans)
+			return nil, err
+		}
+		scans[i] = relScan{est: r.estimateRows(p.Units), part: p}
+	}
+	return scans, nil
+}
+
+func estimates(scans []relScan) []int64 {
+	ests := make([]int64, len(scans))
+	for i, s := range scans {
+		ests[i] = s.est
+	}
+	return ests
+}
+
+func releaseScans(scans []relScan) {
+	for _, s := range scans {
+		if s.part != nil {
+			s.part.Release()
+		}
 	}
 }
 
 // estimateRows is the greedy orderer's cardinality estimate for one
-// relation: the sum of (rows − tombstones) over the segments whose
-// zone maps the relation's pruning bounds cannot exclude. It reads the
-// same partitioned-scan zone maps the ordered visitor uses, without
-// scanning a page; units without a zone (mutable heads on some
-// engines) contribute nothing, and engines that cannot partition at
-// all answer a pessimistic unknown. Estimates are heuristic — segment
-// rows overcount branch-live rows — which is all greedy ordering
-// needs: the result is identical in any order.
-func (c *Compiled) estimateRows() int64 {
-	const unknown = int64(1) << 40
-	var req core.ScanRequest
-	if c.commit != nil {
-		req = core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
-	} else {
-		req = core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
-	}
-	units, release, ok, err := c.table.PartitionUnits(req)
-	if !ok {
-		return unknown
-	}
-	if err != nil {
-		return unknown
-	}
-	defer release()
-	spec := c.execSpec()
+// relation: the sum of (rows − tombstones) over the units whose zone
+// maps the relation's pruning bounds cannot exclude. Units without a
+// zone (mutable heads on some engines) contribute nothing. Estimates
+// are heuristic — segment rows overcount branch-live rows — which is
+// all greedy ordering needs: the result is identical in any order.
+func (c *Compiled) estimateRows(units []core.ScanUnit) int64 {
 	var est int64
 	for _, u := range units {
-		if u.Zone == nil {
-			continue
-		}
-		if spec.ExcludesSegment(u.Zone, u.PhysCols) {
+		if u.Zone == nil || c.proto.ExcludesSegment(u.Zone, u.PhysCols) {
 			continue
 		}
 		if rows := u.Zone.Rows() - u.Zone.Tombstones(); rows > 0 {
@@ -224,10 +237,20 @@ func (c *Compiled) estimateRows() int64 {
 	return est
 }
 
+// scan runs relation r of a join over its prepared partition (or its
+// key-index lookup).
+func (jp *joinPlan) scan(ctx context.Context, r int, s relScan, fn func(*record.Record) bool) error {
+	rel := jp.rels[r]
+	if s.part == nil {
+		return rel.Scan(ctx, fn)
+	}
+	return s.part.Run(ctx, rel.execSpec(), rel.rowSink(ctx, nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) }))
+}
+
 // order returns the relation execution order: greedy by estimate
 // (smallest relation first, then repeatedly the cheapest relation
 // connected to the joined set), or declaration order with noReorder.
-func (jp *joinPlan) order(noReorder bool) []int {
+func (jp *joinPlan) order(ests []int64, noReorder bool) []int {
 	n := len(jp.rels)
 	ord := make([]int, 0, n)
 	if noReorder {
@@ -239,7 +262,7 @@ func (jp *joinPlan) order(noReorder bool) []int {
 	in := make([]bool, n)
 	start := 0
 	for i := 1; i < n; i++ {
-		if jp.ests[i] < jp.ests[start] {
+		if ests[i] < ests[start] {
 			start = i
 		}
 	}
@@ -251,7 +274,7 @@ func (jp *joinPlan) order(noReorder bool) []int {
 			if in[r] || !jp.connected(r, in) {
 				continue
 			}
-			if best < 0 || jp.ests[r] < jp.ests[best] {
+			if best < 0 || ests[r] < ests[best] {
 				best = r
 			}
 		}
@@ -320,12 +343,17 @@ func joinKey(rec *record.Record, col int, bytesKey bool) string {
 
 // run executes the join and emits the tuples in canonical order.
 func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) bool) error {
-	ord := jp.order(noReorder)
+	scans, err := jp.partition()
+	if err != nil {
+		return err
+	}
+	defer releaseScans(scans)
+	ord := jp.order(estimates(scans), noReorder)
 	n := len(jp.rels)
 
 	// Materialize the first (smallest-estimate) relation.
 	var tuples []JoinTuple
-	err := jp.rels[ord[0]].Scan(ctx, func(rec *record.Record) bool {
+	err = jp.scan(ctx, ord[0], scans[ord[0]], func(rec *record.Record) bool {
 		t := make(JoinTuple, n)
 		t[ord[0]] = rec.Clone()
 		tuples = append(tuples, t)
@@ -352,7 +380,7 @@ func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) 
 			build[k] = append(build[k], i)
 		}
 		var next []JoinTuple
-		err := jp.rels[r].Scan(ctx, func(rec *record.Record) bool {
+		err := jp.scan(ctx, r, scans[r], func(rec *record.Record) bool {
 			idxs := build[joinKey(rec, first.newCol, first.bytesKey)]
 			if len(idxs) == 0 {
 				return true
@@ -427,21 +455,29 @@ func (c *Compiled) JoinTuples(ctx context.Context, fn func(JoinTuple) bool) erro
 	return c.join.run(ctx, c.plan.NoReorder, fn)
 }
 
-// JoinOrder exposes the relation execution order the planner chose —
-// indices into the declaration order, for tests and benchmarks that
-// assert the greedy ordering engaged. Nil for non-join plans.
+// JoinOrder exposes the relation execution order the planner would
+// choose now — indices into the declaration order, for tests and
+// benchmarks that assert the greedy ordering engaged. Nil for non-join
+// plans.
 func (c *Compiled) JoinOrder() []int {
-	if c.join == nil {
+	ests := c.JoinEstimates()
+	if ests == nil {
 		return nil
 	}
-	return c.join.order(c.plan.NoReorder)
+	return c.join.order(ests, c.plan.NoReorder)
 }
 
 // JoinEstimates exposes the per-relation zone-map row estimates the
-// greedy order was derived from. Nil for non-join plans.
+// greedy order derives from, read from a fresh partition of each
+// relation. Nil for non-join plans (or when partitioning fails).
 func (c *Compiled) JoinEstimates() []int64 {
 	if c.join == nil {
 		return nil
 	}
-	return append([]int64(nil), c.join.ests...)
+	scans, err := c.join.partition()
+	if err != nil {
+		return nil
+	}
+	releaseScans(scans)
+	return estimates(scans)
 }

@@ -38,7 +38,6 @@ import (
 	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
-	"decibel/internal/vgraph"
 )
 
 // orderedSkips counts scan units the ordered visitor skipped — by zone
@@ -58,15 +57,13 @@ func CountOrderedSkips() int64 { return orderedSkips.Load() }
 
 // EmitRows runs the plan's row terminal — the single-version scan, or
 // the multi-branch scan when the plan names several branches — with
-// OrderBy/Limit applied. OrderBy+Limit plans try the order-aware unit
-// visit first; everything else (and engines without partitioned scans)
-// takes the EmitOrdered gather above the plain scan.
+// OrderBy/Limit applied. OrderBy+Limit plans take the order-aware unit
+// visit; everything else takes the EmitOrdered gather above the plain
+// scan.
 func (c *Compiled) EmitRows(ctx context.Context, fn core.ScanFunc) error {
 	multi := c.plan.AllHeads || len(c.plan.Branches) > 1
-	if req, ok := c.orderedRowsRequest(multi); ok {
-		if handled, err := c.tryOrderedVisit(ctx, req, nil, fn); handled {
-			return err
-		}
+	if c.orderedRowsApply(multi) {
+		return c.orderedVisit(ctx, c.scanRequest(), nil, fn)
 	}
 	return c.EmitOrdered(func(f core.ScanFunc) error {
 		if multi {
@@ -76,48 +73,31 @@ func (c *Compiled) EmitRows(ctx context.Context, fn core.ScanFunc) error {
 	}, fn)
 }
 
-// orderedRowsRequest builds the partition request of the plan's row
-// shape, reporting ok=false when the plan should not (or cannot) take
-// the ordered visit: no OrderBy+Limit, a baseline flag, a shape the
-// plain path must validate (multi at a commit), or a point-pk read the
-// index fast path serves better.
-func (c *Compiled) orderedRowsRequest(multi bool) (core.ScanRequest, bool) {
+// orderedRowsApply reports whether the plan's row shape takes the
+// ordered visit: OrderBy+Limit without a baseline flag, and neither a
+// shape the plain path must validate (multi at a commit) nor a point-pk
+// head read the index fast path serves better.
+func (c *Compiled) orderedRowsApply(multi bool) bool {
 	if !c.orderedVisitApplies() {
-		return core.ScanRequest{}, false
+		return false
 	}
 	if multi {
-		if c.commit != nil {
-			return core.ScanRequest{}, false // ScanMulti rejects At(); let it
-		}
-		ids := make([]vgraph.BranchID, len(c.branches))
-		for i, b := range c.branches {
-			ids[i] = b.ID
-		}
-		return core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids}, true
+		return c.commit == nil // ScanMulti rejects At(); let it
 	}
-	if c.commit != nil {
-		return core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}, true
-	}
-	if _, pk := c.pointPK(); pk {
-		return core.ScanRequest{}, false
-	}
-	return core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}, true
+	_, pk := c.pointPK()
+	return c.commit != nil || !pk
 }
 
 // EmitDiffRows runs the plan's positive-diff terminal with
-// OrderBy/Limit applied, trying the order-aware unit visit first (the
-// diff partition's B-side units run but their rows fail the keep
-// filter, exactly as in the pushdown diff loop).
+// OrderBy/Limit applied, taking the order-aware unit visit when it
+// applies (the diff partition's B-side units run but their rows fail
+// the keep filter, exactly as in the plain diff).
 func (c *Compiled) EmitDiffRows(ctx context.Context, fn core.ScanFunc) error {
 	if c.orderedVisitApplies() {
 		if err := c.pair(); err != nil {
 			return err
 		}
-		req := core.ScanRequest{Kind: core.ScanKindDiff, A: c.branches[0].ID, B: c.branches[1].ID}
-		keep := func(aux core.UnitAux) bool { return aux.InA }
-		if handled, err := c.tryOrderedVisit(ctx, req, keep, fn); handled {
-			return err
-		}
+		return c.orderedVisit(ctx, c.diffRequest(), inA, fn)
 	}
 	return c.EmitOrdered(func(f core.ScanFunc) error { return c.Diff(ctx, f) }, fn)
 }
@@ -142,10 +122,9 @@ type unitBound struct {
 	exclusive bool
 }
 
-// orderedVisitPlan is one unit's visit decision inputs: its original
-// index (the arrival coordinate ties break by) and its bound, if any.
+// orderedVisitPlan is one unit's visit decision inputs: its bound, if
+// any (the unit's index is the arrival coordinate ties break by).
 type orderedVisitPlan struct {
-	idx     int
 	bounded bool
 	empty   bool
 	bound   unitBound
@@ -296,47 +275,43 @@ func (h *visitHeap) Pop() any {
 	return r
 }
 
-// tryOrderedVisit drives one OrderBy+Limit row terminal as an
-// order-aware unit walk. handled=false means the engine cannot
-// partition this scan and the caller must take the gather path.
-func (c *Compiled) tryOrderedVisit(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) (bool, error) {
-	units, release, ok, err := c.table.PartitionUnits(req)
-	if !ok {
-		return false, nil
-	}
-	if err != nil {
-		return true, err
-	}
-	defer release()
-
+// orderedVisit drives one OrderBy+Limit row terminal as an
+// order-aware inline walk over the units of its one partition.
+func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) error {
 	limit := c.plan.Limit
 	srcIdx := c.schema.ColumnIndex(c.plan.OrderCol)
 	ctype := c.schema.Column(srcIdx).Type
 	desc := c.plan.OrderDesc
 
-	visits := make([]orderedVisitPlan, len(units))
-	for i, u := range units {
-		v := orderedVisitPlan{idx: i}
-		v.bound, v.bounded, v.empty = unitOrderBound(u, srcIdx, ctype, desc)
-		visits[i] = v
+	var visits []orderedVisitPlan // indexed by unit
+	order := func(units []core.ScanUnit) []int {
+		visits = make([]orderedVisitPlan, len(units))
+		for i, u := range units {
+			v := &visits[i]
+			v.bound, v.bounded, v.empty = unitOrderBound(u, srcIdx, ctype, desc)
+		}
+		// Unbounded units first (they always run), then bounded units by
+		// ascending bound favorability; arrival order breaks ties so
+		// equal bounds keep their sequential relative order.
+		idx := make([]int, len(units))
+		for i := range idx {
+			idx[i] = i
+		}
+		bcmp := boundCmp(ctype, desc)
+		sort.Slice(idx, func(i, j int) bool {
+			a, b := visits[idx[i]], visits[idx[j]]
+			if a.bounded != b.bounded {
+				return !a.bounded
+			}
+			if a.bounded {
+				if d := bcmp(a.bound, b.bound); d != 0 {
+					return d < 0
+				}
+			}
+			return idx[i] < idx[j]
+		})
+		return idx
 	}
-	// Unbounded units first (they always run), then bounded units by
-	// ascending bound favorability; arrival order breaks ties so equal
-	// bounds keep their sequential relative order.
-	bcmp := boundCmp(ctype, desc)
-	sort.SliceStable(visits, func(i, j int) bool {
-		a, b := visits[i], visits[j]
-		if a.bounded != b.bounded {
-			return !a.bounded
-		}
-		if !a.bounded {
-			return a.idx < b.idx
-		}
-		if d := bcmp(a.bound, b.bound); d != 0 {
-			return d < 0
-		}
-		return a.idx < b.idx
-	})
 
 	cmp := c.orderCmp()
 	vcmp := func(a, b visitRec) int {
@@ -350,25 +325,19 @@ func (c *Compiled) tryOrderedVisit(ctx context.Context, req core.ScanRequest, ke
 	}
 	worse := boundWorse(ctype, desc, c.orderIdx)
 	h := &visitHeap{cmp: vcmp}
-	spec := c.execSpec()
 	skipped := 0
-	for _, v := range visits {
-		if err := ctx.Err(); err != nil {
-			return true, err
-		}
+	unit := func(i int, _ bool) core.UnitSink {
+		v := visits[i]
 		if v.empty || (v.bounded && h.Len() == limit && worse(v.bound, h.recs[0].rec)) {
 			skipped++
-			continue
+			return core.UnitSink{}
 		}
 		seq := 0
-		err := units[v.idx].Run(spec, func(rec *record.Record, aux core.UnitAux) bool {
-			if ctx.Err() != nil {
-				return false
-			}
+		return core.UnitSink{Fn: func(rec *record.Record, aux core.UnitAux) bool {
 			if keep != nil && !keep(aux) {
 				return true
 			}
-			r := visitRec{rec: rec, unit: v.idx, seq: seq}
+			r := visitRec{rec: rec, unit: i, seq: seq}
 			seq++
 			if h.Len() < limit {
 				r.rec = rec.Clone()
@@ -379,22 +348,20 @@ func (c *Compiled) tryOrderedVisit(ctx context.Context, req core.ScanRequest, ke
 				heap.Fix(h, 0)
 			}
 			return true
-		})
-		if err != nil {
-			return true, err
-		}
+		}}
 	}
+	err := c.table.RunScan(ctx, req, c.execSpec(), core.Sink{Order: order, Unit: unit})
 	if skipped > 0 {
 		orderedSkips.Add(int64(skipped))
 	}
-	if err := ctx.Err(); err != nil {
-		return true, err
+	if err != nil {
+		return err
 	}
 	sort.Slice(h.recs, func(i, j int) bool { return vcmp(h.recs[i], h.recs[j]) < 0 })
 	for _, r := range h.recs {
 		if !fn(r.rec) {
-			return true, nil
+			return nil
 		}
 	}
-	return true, nil
+	return nil
 }

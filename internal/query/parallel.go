@@ -1,29 +1,30 @@
 package query
 
-// Parallel execution of the plan's scan shapes. Each row-emitting
-// terminal (Scan, ScanMulti, Diff) and Aggregate first offers its scan
-// to the database's parallel executor (core.Table.ParallelScanContext)
-// and falls back to the sequential pushdown path when the executor
-// declines — engine without the capability, pool of one, fewer than
-// two frozen segments, or the plan's NoParallel flag.
+// The sinks every plan terminal hands to the core executor
+// (core.Table.RunScan). The executor partitions each scan once and
+// either runs its units inline, in order, or fans the frozen ones out
+// to the database's worker pool; a sink is asked for each unit's
+// consumer knowing which.
 //
-// Row shapes buffer each unit's output (records cloned on the worker)
-// and flush the buffers in unit order, reproducing the sequential
-// stream exactly. When the plan carries Limit/OrderBy the units
-// pre-trim: a bare Limit stops each unit after `limit` kept rows, and
-// OrderBy+Limit keeps a per-unit top-k heap — sound because a row of
-// the global top-k is necessarily in its unit's top-k, and exact
-// because both the unit trim and EmitOrdered break ordering ties by
-// arrival order. Only the facade terminals set Limit/OrderBy, and they
-// always run EmitOrdered above these shapes; plans without them emit
-// the exact full sequential stream.
+// Row shapes stream straight to the caller when inline. Fanned out,
+// each unit buffers its output (records cloned on the worker) and the
+// buffers flush in unit order, reproducing the inline stream exactly.
+// When the plan carries Limit/OrderBy the buffers pre-trim: a bare
+// Limit stops each unit after `limit` kept rows, and OrderBy+Limit
+// keeps a per-unit top-k heap — sound because a row of the global
+// top-k is necessarily in its unit's top-k, and exact because both the
+// unit trim and EmitOrdered break ordering ties by arrival order. Only
+// the facade terminals set Limit/OrderBy, and they always run
+// EmitOrdered above these shapes; plans without them emit the exact
+// full stream.
 //
-// Aggregates skip row buffering entirely: each unit folds its own
-// partial (count / sums / min / max) and the partials merge in unit
-// order. Count, Sum over integers, Min and Max merge exactly; a
-// float Sum associates additions differently than the sequential fold,
-// so it can differ in the last ulps on data where addition order
-// matters (exact on the binary fractions the tests use).
+// Folds (aggregates, group-by) never buffer rows: inline, every unit
+// folds straight into the running total; fanned out, each unit folds
+// its own partial and the partials merge in unit order. Count, Sum over
+// integers, Min, Max and group first-arrival order merge exactly; a
+// float Sum associates additions differently than the inline fold, so
+// it can differ in the last ulps on data where addition order matters
+// (exact on the binary fractions the tests use).
 
 import (
 	"container/heap"
@@ -107,17 +108,25 @@ func (b *unitBuf) flush(emit func(bufRow) bool) bool {
 	return true
 }
 
-// rowSink builds the per-unit sink factory of a row-emitting shape.
-// keep filters on the unit annotation before buffering (the diff
-// terminal's side selection — trims must count only kept rows);
-// saveMember clones the membership bitmap alongside the record.
-func (c *Compiled) rowSink(keep func(core.UnitAux) bool, saveMember bool, emit func(bufRow) bool) func(unit, total int) core.UnitSink {
+// rowSink is the sink of a row-emitting shape. keep filters on the
+// unit annotation (the diff terminal's side selection — trims must
+// count only kept rows); fn receives the kept rows with their
+// membership (multi-branch scans).
+func (c *Compiled) rowSink(ctx context.Context, keep func(core.UnitAux) bool, fn core.UnitFunc) core.Sink {
 	limit := c.plan.Limit
 	var cmp func(a, b *record.Record) int
 	if c.Ordered() {
 		cmp = c.orderCmp()
 	}
-	return func(int, int) core.UnitSink {
+	return core.Sink{Inline: c.plan.NoParallel, Unit: func(_ int, parallel bool) core.UnitSink {
+		if !parallel {
+			if keep == nil {
+				return core.UnitSink{Fn: fn}
+			}
+			return core.UnitSink{Fn: func(rec *record.Record, aux core.UnitAux) bool {
+				return !keep(aux) || fn(rec, aux)
+			}}
+		}
 		b := &unitBuf{limit: limit, cmp: cmp}
 		return core.UnitSink{
 			Fn: func(rec *record.Record, aux core.UnitAux) bool {
@@ -125,45 +134,77 @@ func (c *Compiled) rowSink(keep func(core.UnitAux) bool, saveMember bool, emit f
 					return true
 				}
 				row := bufRow{rec: rec.Clone()}
-				if saveMember && aux.Member != nil {
+				if aux.Member != nil {
 					row.member = aux.Member.Clone()
 				}
 				return b.add(row)
 			},
-			Flush: func() bool { return b.flush(emit) },
+			// The ctx guard keeps the flush phase (the only part that
+			// outlives the workers) stopping within one record of
+			// cancellation, like the inline path.
+			Flush: func() bool {
+				return b.flush(func(row bufRow) bool {
+					return ctx.Err() == nil && fn(row.rec, core.UnitAux{Member: row.member})
+				})
+			},
 		}
-	}
+	}}
 }
 
-// tryParallelRows offers a plain row scan (branch, commit or diff —
-// keep selects the diff side) to the parallel executor.
-func (c *Compiled) tryParallelRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) (bool, error) {
-	if c.plan.NoParallel {
-		return false, nil
-	}
-	// The ctx guard keeps the flush phase (the only part that outlives
-	// the workers) stopping within one record of cancellation, like the
-	// sequential wrappers; ParallelScanContext then surfaces ctx.Err().
-	return c.table.ParallelScanContext(ctx, req, c.execSpec(),
-		c.rowSink(keep, false, func(row bufRow) bool { return ctx.Err() == nil && fn(row.rec) }))
+// fold is a streaming aggregation state the fold sink drives: add folds
+// one row, fresh returns an empty fold of the same configuration, and
+// mergeFrom folds a later unit's partial into the receiver.
+type fold[F any] interface {
+	add(rec *record.Record)
+	fresh() F
+	mergeFrom(p F)
 }
 
-// tryParallelMulti offers the annotated multi-branch scan to the
-// parallel executor.
-func (c *Compiled) tryParallelMulti(ctx context.Context, req core.ScanRequest, fn core.MultiScanFunc) (bool, error) {
-	if c.plan.NoParallel {
-		return false, nil
-	}
-	return c.table.ParallelScanContext(ctx, req, c.execSpec(),
-		c.rowSink(nil, true, func(row bufRow) bool { return ctx.Err() == nil && fn(row.rec, row.member) }))
+// foldSink is the sink of a fold: inline, every unit folds straight
+// into total; fanned out, each unit folds a fresh partial that merges
+// into total in unit order.
+func foldSink[F fold[F]](inline bool, total F) core.Sink {
+	return core.Sink{Inline: inline, Unit: func(_ int, parallel bool) core.UnitSink {
+		if !parallel {
+			return core.UnitSink{Fn: func(rec *record.Record, _ core.UnitAux) bool { total.add(rec); return true }}
+		}
+		p := total.fresh()
+		return core.UnitSink{
+			Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(rec); return true },
+			Flush: func() bool { total.mergeFrom(p); return true },
+		}
+	}}
 }
 
-// aggPart is one unit's partial aggregate.
+// aggPart is one scalar aggregate's running state.
 type aggPart struct {
 	n          int
 	isum       int64
 	fsum       float64
 	fmin, fmax float64
+}
+
+// observe folds one value (ignored by Count).
+func (t *aggPart) observe(kind AggKind, rec *record.Record, ci int, isFloat bool) {
+	t.n++
+	if kind == AggCount {
+		return
+	}
+	var v float64
+	if isFloat {
+		v = rec.GetFloat64(ci)
+		t.fsum += v
+	} else {
+		i := rec.Get(ci)
+		t.isum += i
+		v = float64(i)
+	}
+	if t.n == 1 || v < t.fmin {
+		t.fmin = v
+	}
+	if t.n == 1 || v > t.fmax {
+		t.fmax = v
+	}
 }
 
 // merge folds a later unit's partial into the running total.
@@ -186,62 +227,15 @@ func (t *aggPart) merge(p *aggPart) {
 	}
 }
 
-// tryParallelGroups offers a grouped aggregation to the parallel
-// executor: one groupFold per unit, merged into total in unit order —
-// first-arrival emission order is preserved exactly (see group.go).
-func (c *Compiled) tryParallelGroups(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, total *groupFold) (bool, error) {
-	if c.plan.NoParallel {
-		return false, nil
-	}
-	sink := func(int, int) core.UnitSink {
-		p := total.fresh()
-		return core.UnitSink{
-			Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(rec); return true },
-			Flush: func() bool { total.mergeFrom(p); return true },
-		}
-	}
-	return c.table.ParallelScanContext(ctx, req, spec, sink)
+// aggFold is a scalar aggregate over one column: the fold the
+// Aggregate terminal drives.
+type aggFold struct {
+	kind    AggKind
+	ci      int
+	isFloat bool
+	aggPart
 }
 
-// tryParallelAggregate offers an aggregate scan to the parallel
-// executor: per-unit partials, no record cloning, merged in unit
-// order on the caller's goroutine.
-func (c *Compiled) tryParallelAggregate(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, kind AggKind, ci int, isFloat bool) (*aggPart, bool, error) {
-	if c.plan.NoParallel {
-		return nil, false, nil
-	}
-	total := &aggPart{}
-	sink := func(int, int) core.UnitSink {
-		p := &aggPart{}
-		return core.UnitSink{
-			Fn: func(rec *record.Record, _ core.UnitAux) bool {
-				p.n++
-				if kind == AggCount {
-					return true
-				}
-				var v float64
-				if isFloat {
-					v = rec.GetFloat64(ci)
-					p.fsum += v
-				} else {
-					i := rec.Get(ci)
-					p.isum += i
-					v = float64(i)
-				}
-				if p.n == 1 || v < p.fmin {
-					p.fmin = v
-				}
-				if p.n == 1 || v > p.fmax {
-					p.fmax = v
-				}
-				return true
-			},
-			Flush: func() bool { total.merge(p); return true },
-		}
-	}
-	handled, err := c.table.ParallelScanContext(ctx, req, spec, sink)
-	if !handled || err != nil {
-		return nil, handled, err
-	}
-	return total, true, nil
-}
+func (a *aggFold) add(rec *record.Record) { a.observe(a.kind, rec, a.ci, a.isFloat) }
+func (a *aggFold) fresh() *aggFold        { return &aggFold{kind: a.kind, ci: a.ci, isFloat: a.isFloat} }
+func (a *aggFold) mergeFrom(p *aggFold)   { a.merge(&p.aggPart) }

@@ -6,8 +6,8 @@ package query
 // — and compiling it against a Database resolves every name through
 // the catalog and version graph, compiles the typed predicate to its
 // raw form, and packages both into the core.ScanSpec the storage
-// engines execute through the PushdownScanner capability (with a
-// generic post-filter fallback for engines that lack it).
+// engines' scan units evaluate; every terminal then runs as one
+// core.Table.RunScan over the engine's partition of its scan shape.
 
 import (
 	"context"
@@ -277,9 +277,9 @@ func (c *Compiled) pair() error {
 // Scan executes a single-version scan (Query 1): the branch head, or
 // the checked-out commit when the plan has AtSeq/AtCommit. A head scan
 // whose predicate pins the primary key to one value is served from the
-// engine's pk index (a point lookup) instead of a segment scan when
-// the engine has the capability; the full predicate and projection
-// still run on the looked-up record, so the result is identical.
+// engine's key index (a point lookup) instead of a segment scan; the
+// full predicate and projection still run on the looked-up record, so
+// the result is identical.
 func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Rows"); err != nil {
 		return err
@@ -287,24 +287,38 @@ func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.single(); err != nil {
 		return err
 	}
-	if c.commit != nil {
-		req := core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
-		if handled, err := c.tryParallelRows(ctx, req, nil, fn); handled {
-			return err
-		}
-		return c.table.ScanCommitPushdownContext(ctx, c.commit, c.execSpec(), fn)
-	}
-	if pk, ok := c.pointPK(); ok {
-		served, err := c.table.LookupPKPushdownContext(ctx, c.branches[0].ID, pk, c.execSpec(), fn)
-		if served || err != nil {
-			return err
+	if c.commit == nil {
+		if pk, ok := c.pointPK(); ok {
+			served, err := c.table.LookupPK(ctx, c.branches[0].ID, pk, c.execSpec(), fn)
+			if served || err != nil {
+				return err
+			}
 		}
 	}
-	req := core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
-	if handled, err := c.tryParallelRows(ctx, req, nil, fn); handled {
-		return err
+	return c.table.RunScan(ctx, c.scanRequest(), c.execSpec(),
+		c.rowSink(ctx, nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) }))
+}
+
+// scanRequest is the partition request of the plan's scan shape: the
+// multi-branch scan when the plan names several branches (or every
+// head), else the checked-out commit or the single branch head.
+func (c *Compiled) scanRequest() core.ScanRequest {
+	switch {
+	case c.plan.AllHeads || len(c.branches) > 1:
+		return core.ScanRequest{Kind: core.ScanKindMulti, Branches: c.branchIDs()}
+	case c.commit != nil:
+		return core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
 	}
-	return c.table.ScanPushdownContext(ctx, c.branches[0].ID, c.execSpec(), fn)
+	return core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
+}
+
+// branchIDs returns the resolved branches' IDs in scan order.
+func (c *Compiled) branchIDs() []vgraph.BranchID {
+	ids := make([]vgraph.BranchID, len(c.branches))
+	for i, b := range c.branches {
+		ids[i] = b.ID
+	}
+	return ids
 }
 
 // pointPK reports whether the extracted bounds pin the primary key
@@ -333,20 +347,15 @@ func (c *Compiled) ScanMulti(ctx context.Context, fn core.MultiScanFunc) error {
 	if c.commit != nil {
 		return fmt.Errorf("%w: At() cannot combine with a multi-branch scan", core.ErrBadQuery)
 	}
-	ids := make([]vgraph.BranchID, len(c.branches))
-	for i, b := range c.branches {
-		ids[i] = b.ID
-	}
-	if handled, err := c.tryParallelMulti(ctx, core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids}, fn); handled {
-		return err
-	}
-	return c.table.ScanMultiPushdownContext(ctx, ids, c.execSpec(), fn)
+	req := core.ScanRequest{Kind: core.ScanKindMulti, Branches: c.branchIDs()}
+	return c.table.RunScan(ctx, req, c.execSpec(),
+		c.rowSink(ctx, nil, func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) }))
 }
 
 // ScanMultiRescan executes the same multi-branch scan as ScanMulti the
-// pre-pushdown way: one independent rescan per branch, merged by
-// primary key in memory. It exists as the measurable baseline for the
-// pushdown benchmarks and for engines whose ScanMulti is unavailable.
+// pre-pushdown way: one independent inline rescan per branch, merged by
+// record contents in memory. It exists as the measurable baseline for
+// the pushdown benchmarks.
 func (c *Compiled) ScanMultiRescan(ctx context.Context, fn core.MultiScanFunc) error {
 	if c.commit != nil {
 		return fmt.Errorf("%w: At() cannot combine with a multi-branch scan", core.ErrBadQuery)
@@ -364,18 +373,21 @@ func (c *Compiled) ScanMultiRescan(ctx context.Context, fn core.MultiScanFunc) e
 	for i, b := range c.branches {
 		// Each rescan clones the spec so it owns a fresh projection
 		// scratch (part of the per-branch rescan overhead).
-		err := c.table.ScanPushdownContext(ctx, b.ID, c.execSpec(), func(rec *record.Record) bool {
-			key := string(rec.Bytes())
-			en := merged[key]
-			if en == nil {
-				en = &entry{rec: rec.Clone(), member: bitmap.New(len(c.branches))}
-				merged[key] = en
-				order = append(order, key)
-			}
-			en.member.Set(i)
-			return true
-		})
-		if err != nil {
+		req := core.ScanRequest{Kind: core.ScanKindBranch, Branch: b.ID}
+		sink := core.Sink{Inline: true, Unit: func(int, bool) core.UnitSink {
+			return core.UnitSink{Fn: func(rec *record.Record, _ core.UnitAux) bool {
+				key := string(rec.Bytes())
+				en := merged[key]
+				if en == nil {
+					en = &entry{rec: rec.Clone(), member: bitmap.New(len(c.branches))}
+					merged[key] = en
+					order = append(order, key)
+				}
+				en.member.Set(i)
+				return true
+			}}
+		}}
+		if err := c.table.RunScan(ctx, req, c.execSpec(), sink); err != nil {
 			return err
 		}
 	}
@@ -390,8 +402,7 @@ func (c *Compiled) ScanMultiRescan(ctx context.Context, fn core.MultiScanFunc) e
 
 // Diff executes a positive diff (Query 2): records live in
 // Branches()[0] but not Branches()[1], with predicate, projection and
-// zone-map pruning pushed into the engine's diff loop (engines without
-// the DiffScanner capability post-filter above their plain Diff).
+// zone-map pruning pushed into the engine's diff units.
 func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Diff"); err != nil {
 		return err
@@ -399,21 +410,20 @@ func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.pair(); err != nil {
 		return err
 	}
-	req := core.ScanRequest{Kind: core.ScanKindDiff, A: c.branches[0].ID, B: c.branches[1].ID}
-	if handled, err := c.tryParallelRows(ctx, req, func(aux core.UnitAux) bool { return aux.InA }, fn); handled {
-		return err
-	}
-	return c.table.ScanDiffPushdownContext(ctx, c.branches[0].ID, c.branches[1].ID, c.execSpec(),
-		func(rec *record.Record, inA bool) bool {
-			if !inA {
-				return true
-			}
-			return fn(rec)
-		})
+	return c.table.RunScan(ctx, c.diffRequest(), c.execSpec(),
+		c.rowSink(ctx, inA, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) }))
 }
 
+// diffRequest is the partition request of the plan's branch pair.
+func (c *Compiled) diffRequest() core.ScanRequest {
+	return core.ScanRequest{Kind: core.ScanKindDiff, A: c.branches[0].ID, B: c.branches[1].ID}
+}
+
+// inA keeps the positive side of a diff.
+func inA(aux core.UnitAux) bool { return aux.InA }
+
 // DiffPostFilter executes the same positive diff as Diff the
-// pre-pushdown way: the engine's plain Diff materializes every
+// pre-pushdown way: the table's plain diff materializes every
 // differing record and the spec is applied above it. It exists as the
 // measurable baseline for the diff-pushdown benchmarks.
 func (c *Compiled) DiffPostFilter(ctx context.Context, fn core.ScanFunc) error {
@@ -440,64 +450,6 @@ func (c *Compiled) DiffPostFilter(ctx context.Context, fn core.ScanFunc) error {
 		err = ferr
 	}
 	return err
-}
-
-// Join executes a primary-key version join (Query 3) between the two
-// branch heads: pairs of records sharing a primary key, the left
-// satisfying the predicate. The projection applies to both sides.
-//
-// Since the relational-algebra generalization this is one
-// configuration of the general join node: the same table's two branch
-// heads as relations 0 and 1, joined on the primary key, with the
-// predicate pushed into the left leg only (the historical Query 3
-// semantics). Pairs emit in ascending primary-key order — the
-// canonical tuple order of the general node.
-func (c *Compiled) Join(ctx context.Context, fn func(JoinedPair) bool) error {
-	if err := c.rowShape("Join"); err != nil {
-		return err
-	}
-	if err := c.pair(); err != nil {
-		return err
-	}
-	if err := c.noOrdering("Join"); err != nil {
-		return err
-	}
-	left, err := c.branchLeg(0, true)
-	if err != nil {
-		return err
-	}
-	right, err := c.branchLeg(1, false)
-	if err != nil {
-		return err
-	}
-	jp := &joinPlan{
-		rels:  []*Compiled{left, right},
-		edges: []joinEdge{{left: 0, leftCol: 0, right: 1, rightCol: 0}},
-	}
-	jp.estimate()
-	return jp.run(ctx, c.plan.NoReorder, func(tup JoinTuple) bool {
-		return fn(JoinedPair{Left: tup[0], Right: tup[1]})
-	})
-}
-
-// branchLeg derives a single-branch relation from a pair-compiled
-// plan: branch i of the pair, keeping the compiled predicate and
-// bounds only when keepPred is set (the version join's left side).
-func (c *Compiled) branchLeg(i int, keepPred bool) (*Compiled, error) {
-	leg := *c
-	leg.plan.Branches = []string{c.branches[i].Name}
-	leg.plan.Joins = nil
-	leg.branches = c.branches[i : i+1]
-	if !keepPred {
-		leg.pred = nil
-		leg.bounds = nil
-		proto, err := core.NewScanSpecAt(c.table.History(), c.epoch, nil, c.cols)
-		if err != nil {
-			return nil, err
-		}
-		leg.proto = proto
-	}
-	return &leg, nil
 }
 
 // AggKind selects an aggregate terminal.
@@ -560,90 +512,33 @@ func (c *Compiled) Aggregate(ctx context.Context, kind AggKind, col string) (flo
 		return 0, err
 	}
 	spec.SetBounds(c.bounds)
-	var req core.ScanRequest
-	var ids []vgraph.BranchID
-	if c.plan.AllHeads || len(c.branches) > 1 {
-		ids = make([]vgraph.BranchID, len(c.branches))
-		for i, b := range c.branches {
-			ids[i] = b.ID
-		}
-		req = core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids}
-	} else if c.commit != nil {
-		req = core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
-	} else {
-		req = core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
-	}
-	var (
-		n    int
-		isum int64
-		fsum float64
-		fmin float64
-		fmax float64
-	)
-	if total, handled, perr := c.tryParallelAggregate(ctx, req, spec, kind, ci, isFloat); handled || perr != nil {
-		if perr != nil {
-			return 0, perr
-		}
-		n, isum, fsum, fmin, fmax = total.n, total.isum, total.fsum, total.fmin, total.fmax
-	} else {
-		acc := func(rec *record.Record) bool {
-			n++
-			if kind == AggCount {
-				return true
-			}
-			var v float64
-			if isFloat {
-				v = rec.GetFloat64(ci)
-				fsum += v
-			} else {
-				i := rec.Get(ci)
-				isum += i
-				v = float64(i)
-			}
-			if n == 1 || v < fmin {
-				fmin = v
-			}
-			if n == 1 || v > fmax {
-				fmax = v
-			}
-			return true
-		}
-		if ids != nil {
-			err = c.table.ScanMultiPushdownContext(ctx, ids, spec, func(rec *record.Record, _ *bitmap.Bitmap) bool {
-				return acc(rec)
-			})
-		} else if c.commit != nil {
-			err = c.table.ScanCommitPushdownContext(ctx, c.commit, spec, acc)
-		} else {
-			err = c.table.ScanPushdownContext(ctx, c.branches[0].ID, spec, acc)
-		}
-		if err != nil {
-			return 0, err
-		}
+	total := &aggFold{kind: kind, ci: ci, isFloat: isFloat}
+	if err := c.table.RunScan(ctx, c.scanRequest(), spec, foldSink(c.plan.NoParallel, total)); err != nil {
+		return 0, err
 	}
 	switch kind {
 	case AggCount:
-		return float64(n), nil
+		return float64(total.n), nil
 	case AggSum:
 		if isFloat {
-			return fsum, nil
+			return total.fsum, nil
 		}
-		return float64(isum), nil
+		return float64(total.isum), nil
 	case AggAvg:
-		if n == 0 {
+		if total.n == 0 {
 			return 0, fmt.Errorf("%w: %s over empty scan", core.ErrNoRows, col)
 		}
 		if isFloat {
-			return fsum / float64(n), nil
+			return total.fsum / float64(total.n), nil
 		}
-		return float64(isum) / float64(n), nil
+		return float64(total.isum) / float64(total.n), nil
 	default:
-		if n == 0 {
+		if total.n == 0 {
 			return 0, fmt.Errorf("%w: %s over empty scan", core.ErrNoRows, col)
 		}
 		if kind == AggMin {
-			return fmin, nil
+			return total.fmin, nil
 		}
-		return fmax, nil
+		return total.fmax, nil
 	}
 }

@@ -7,11 +7,8 @@ import (
 	"strings"
 
 	"decibel/internal/compact"
-	"decibel/internal/core"
 	"decibel/internal/store"
 )
-
-var _ core.Compactor = (*Engine)(nil)
 
 // extFilePath returns extent i's data file: the positional default or
 // its recorded rewrite name.
@@ -22,7 +19,7 @@ func (e *Engine) extFilePath(i int, name string) string {
 	return e.extPath(i)
 }
 
-// CompactSegments implements core.Compactor for the tuple-first
+// CompactSegments implements core.Engine for the tuple-first
 // scheme. The shared heap's slot numbers are global — every bitmap,
 // commit delta and pk index addresses them — so extents can never be
 // merged or have rows dropped; the pass re-encodes sealed extents into

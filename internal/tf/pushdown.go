@@ -7,18 +7,17 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// Pushdown scans (core.PushdownScanner, core.DiffScanner,
-// core.ParallelScanner). Tuple-first's liveness is one bitmap per
-// branch over the shared heap, so a pushed-down predicate is evaluated
-// on the raw page buffer before any record is materialized, and a
-// multi-branch scan is driven by the OR of the branch columns — one
-// pass over the heap touching only pages with at least one live tuple
-// in at least one requested branch, instead of one rescan per branch.
-// The heap is walked extent by extent: an extent whose zone map proves
-// no record can satisfy the spec's bounds is skipped without touching
-// a page, and buffers from extents older than the spec's schema epoch
-// are widened (defaults filled) before the predicate sees them, so old
-// pages are never rewritten.
+// Pushdown scans (core.Engine.PartitionScan). Tuple-first's liveness
+// is one bitmap per branch over the shared heap, so a pushed-down
+// predicate is evaluated on the raw page buffer before any record is
+// materialized, and a multi-branch scan is driven by the OR of the
+// branch columns — one pass over the heap touching only pages with at
+// least one live tuple in at least one requested branch, instead of
+// one rescan per branch. The heap is walked extent by extent: an
+// extent whose zone map proves no record can satisfy the spec's
+// bounds is skipped without touching a page, and buffers from extents
+// older than the spec's schema epoch are widened (defaults filled)
+// before the predicate sees them, so old pages are never rewritten.
 //
 // Because extents rotate only on schema change, one extent typically
 // spans every branch's rows and its segment-level zone rarely prunes;
@@ -28,25 +27,17 @@ import (
 //
 // Each scan shape partitions into one core.ScanUnit per extent
 // (PartitionScan) — sealed extents are frozen units the parallel
-// executor may fan out; the open tail stays on the caller's goroutine —
-// and the sequential entry points drive the same units through
-// core.RunUnitsSequential.
+// executor may fan out; the open tail stays on the caller's goroutine.
 
-var (
-	_ core.PushdownScanner = (*Engine)(nil)
-	_ core.DiffScanner     = (*Engine)(nil)
-	_ core.BatchInserter   = (*Engine)(nil)
-	_ core.PKLookupScanner = (*Engine)(nil)
-	_ core.ParallelScanner = (*Engine)(nil)
-)
+var _ core.Engine = (*Engine)(nil)
 
-// LookupPKPushdown implements core.PKLookupScanner: a branch-head read
-// of one primary key answered from the per-branch pk index (Section
-// 3.2's update/delete index) instead of a heap walk. The index maps
-// the key to its live slot in the shared heap; the spec's full
-// predicate and projection run on that one record, so the result is
-// identical to the scan it replaces.
-func (e *Engine) LookupPKPushdown(branch vgraph.BranchID, pk int64, spec *core.ScanSpec, fn core.ScanFunc) (bool, error) {
+// LookupPK implements core.Engine: a branch-head read of one primary
+// key answered from the per-branch pk index (Section 3.2's
+// update/delete index) instead of a heap walk. The index maps the key
+// to its live slot in the shared heap; the spec's full predicate and
+// projection run on that one record, so the result is identical to
+// the scan it replaces.
+func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64, spec *core.ScanSpec, fn core.ScanFunc) (bool, error) {
 	e.mu.Lock()
 	idx, ok := e.pk[branch]
 	if !ok {
@@ -80,18 +71,6 @@ func (e *Engine) LookupPKPushdown(branch vgraph.BranchID, pk int64, spec *core.S
 		fn(rec)
 	}
 	return true, nil
-}
-
-// passSpec is the match-all, project-nothing spec the plain Scan*
-// entry points delegate through, so the engine has exactly one copy of
-// each scan loop. epoch selects the schema version records are emitted
-// under.
-func (e *Engine) passSpec(epoch int) *core.ScanSpec {
-	sp, err := core.NewScanSpecAt(e.hist, epoch, nil, nil)
-	if err != nil {
-		panic(err) // no projection: cannot fail
-	}
-	return sp
 }
 
 // scanExtentSpec is the one extent scan body every pushdown shape
@@ -191,12 +170,12 @@ func bitmapUnits(exts []*extent, bm *bitmap.Bitmap, aux func(slot int64) core.Un
 	return units
 }
 
-// PartitionScan implements core.ParallelScanner: one unit per extent
-// in global slot order, with the branch/checkout bitmaps resolved
-// under the engine lock at partition time. The tuple-oriented
-// multi-branch layout has no cheap branch columns — its per-row
-// membership lookups need the engine lock — so its units all stay
-// non-frozen (caller's goroutine), preserving the sequential walk.
+// PartitionScan implements core.Engine: one unit per extent in global
+// slot order, with the branch/checkout bitmaps resolved under the
+// engine lock at partition time. The tuple-oriented multi-branch
+// layout has no cheap branch columns — its per-row membership lookups
+// need the engine lock — so its units all stay non-frozen (caller's
+// goroutine), preserving the in-order walk.
 func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -315,52 +294,4 @@ func (e *Engine) tupleMultiUnit(ext *extent, branches []vgraph.BranchID) core.Sc
 			return err
 		},
 	}
-}
-
-// ScanBranchPushdown implements core.PushdownScanner.
-func (e *Engine) ScanBranchPushdown(branch vgraph.BranchID, spec *core.ScanSpec, fn core.ScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindBranch, Branch: branch})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
-}
-
-// ScanCommitPushdown implements core.PushdownScanner.
-func (e *Engine) ScanCommitPushdown(c *vgraph.Commit, spec *core.ScanSpec, fn core.ScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindCommit, Commit: c})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
-}
-
-// ScanDiffPushdown implements core.DiffScanner: the branch bitmaps are
-// XORed and the heap walked once under the result, with zone-map
-// extent pruning and the predicate evaluated on the raw buffer before
-// either output side materializes a record.
-func (e *Engine) ScanDiffPushdown(a, b vgraph.BranchID, spec *core.ScanSpec, fn core.DiffFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindDiff, A: a, B: b})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
-}
-
-// ScanMultiPushdown implements core.PushdownScanner. With the
-// branch-oriented index the branch columns are ORed into one union
-// bitmap and the heap is walked once under it; the tuple-oriented
-// layout has no cheap columns, so it keeps the full-heap walk with the
-// predicate evaluated on the raw buffer before the per-row membership
-// lookup. Either way, zone-pruned extents are skipped whole.
-func (e *Engine) ScanMultiPushdown(branches []vgraph.BranchID, spec *core.ScanSpec, fn core.MultiScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindMulti, Branches: branches})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
 }

@@ -12,11 +12,6 @@ import (
 	"decibel/internal/vgraph"
 )
 
-var (
-	_ core.Compactor       = (*Engine)(nil)
-	_ core.PKLookupScanner = (*Engine)(nil)
-)
-
 // segFilePath returns the data file of a segment under the given
 // encoding: seg<id>.dat for heap files (the legacy name, so existing
 // datasets open unchanged), seg<id>.dcz for compressed ones. The
@@ -59,7 +54,7 @@ func (e *Engine) safeCountsLocked() map[segID]int64 {
 	return safe
 }
 
-// CompactSegments implements core.Compactor for the version-first
+// CompactSegments implements core.Engine for the version-first
 // scheme. Segment files ARE the version history here — a parent
 // segment's byte ranges are addressed by child branch points and
 // commit offsets — so slots can never be renumbered and physical
@@ -191,14 +186,14 @@ func (e *Engine) sweepOrphans() {
 	}
 }
 
-// LookupPKPushdown implements core.PKLookupScanner: a branch-head read
+// LookupPK implements core.Engine: a branch-head read
 // of one primary key. Version-first has no per-branch key index — the
 // paper's scheme resolves liveness from the segment lineage — so the
 // lookup resolves the branch's live set (cached per frozen interval)
 // and reads the single record copy the key maps to; the spec's full
 // predicate and projection run on it, so the result is identical to
 // the scan it replaces.
-func (e *Engine) LookupPKPushdown(branch vgraph.BranchID, pk int64, spec *core.ScanSpec, fn core.ScanFunc) (bool, error) {
+func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64, spec *core.ScanSpec, fn core.ScanFunc) (bool, error) {
 	e.mu.Lock()
 	s, cut, err := e.headLocked(branch)
 	if err != nil {

@@ -11,15 +11,15 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// Pushdown scans (core.PushdownScanner, core.DiffScanner,
-// core.ParallelScanner). Version-first has no branch bitmaps —
-// liveness comes from resolving segment lineages — so its pushdown is
-// predicate + projection evaluation on the raw record buffer during
-// the emit pass, before the callback layer sees a materialized record;
-// segments whose zone maps exclude the spec's bounds are dropped from
-// the emit pass whole. Multi-branch scans keep the paper's two-pass
-// shape (shared ancestry resolved once through the interval cache)
-// with the spec applied in the second pass.
+// Pushdown scans (core.Engine.PartitionScan). Version-first has no
+// branch bitmaps — liveness comes from resolving segment lineages —
+// so its pushdown is predicate + projection evaluation on the raw
+// record buffer during the emit pass, before the callback layer sees
+// a materialized record; segments whose zone maps exclude the spec's
+// bounds are dropped from the emit pass whole. Multi-branch scans
+// keep the paper's two-pass shape (shared ancestry resolved once
+// through the interval cache) with the spec applied in the second
+// pass.
 //
 // The emit pass is partitioned per segment (core.ScanUnit): the live
 // set is resolved under the engine lock, grouped by segment in id
@@ -28,27 +28,9 @@ import (
 // page instead of one locked File.Read per record). Segments that are
 // no branch's head never take another append and are frozen units the
 // parallel executor may fan out; branch heads stay on the caller's
-// goroutine. The sequential entry points drive the same units through
-// core.RunUnitsSequential.
+// goroutine.
 
-var (
-	_ core.PushdownScanner = (*Engine)(nil)
-	_ core.DiffScanner     = (*Engine)(nil)
-	_ core.BatchInserter   = (*Engine)(nil)
-	_ core.ParallelScanner = (*Engine)(nil)
-)
-
-// passSpec is the match-all, project-nothing spec the plain Scan*
-// entry points delegate through, so the engine has exactly one copy of
-// each scan loop. epoch selects the schema version records are emitted
-// under.
-func (e *Engine) passSpec(epoch int) *core.ScanSpec {
-	sp, err := core.NewScanSpecAt(e.hist, epoch, nil, nil)
-	if err != nil {
-		panic(err) // no projection: cannot fail
-	}
-	return sp
-}
+var _ core.Engine = (*Engine)(nil)
 
 // segUnit builds the scan unit of one segment's live slots (ascending).
 // Slots are read in page runs: one heap.File.Scan per contiguous group
@@ -219,10 +201,10 @@ func (e *Engine) singlePlanLocked(p pos) (*planEntry, error) {
 	})
 }
 
-// PartitionScan implements core.ParallelScanner: live sets are
-// resolved under the engine lock exactly as the sequential scans
-// resolve them, then partitioned into per-segment units. Every segment
-// a unit references is pinned until release is called.
+// PartitionScan implements core.Engine: live sets are resolved under
+// the engine lock (through the lineage cache), then partitioned into
+// per-segment units. Every segment a unit references is pinned until
+// release is called.
 func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
 	switch req.Kind {
 	case core.ScanKindBranch:
@@ -348,51 +330,7 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 	return nil, func() {}, nil
 }
 
-// ScanBranchPushdown implements core.PushdownScanner.
-func (e *Engine) ScanBranchPushdown(branch vgraph.BranchID, spec *core.ScanSpec, fn core.ScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindBranch, Branch: branch})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
-}
-
-// ScanCommitPushdown implements core.PushdownScanner.
-func (e *Engine) ScanCommitPushdown(c *vgraph.Commit, spec *core.ScanSpec, fn core.ScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindCommit, Commit: c})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
-}
-
-// ScanMultiPushdown implements core.PushdownScanner.
-func (e *Engine) ScanMultiPushdown(branches []vgraph.BranchID, spec *core.ScanSpec, fn core.MultiScanFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindMulti, Branches: branches})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
-}
-
-// ScanDiffPushdown implements core.DiffScanner: both branches' live
-// sets are resolved (the multi-pass cost the paper attributes to this
-// scheme), their symmetric difference grouped by segment, and the spec
-// — zone-map segment pruning included — evaluated during the emit of
-// each side.
-func (e *Engine) ScanDiffPushdown(a, b vgraph.BranchID, spec *core.ScanSpec, fn core.DiffFunc) error {
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindDiff, A: a, B: b})
-	if err != nil {
-		return err
-	}
-	defer release()
-	return core.RunUnitsSequential(units, spec, func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
-}
-
-// InsertBatch implements core.BatchInserter: one lock acquisition and
+// InsertBatch implements core.Engine: one lock acquisition and
 // one head lookup for the whole batch.
 func (e *Engine) InsertBatch(branch vgraph.BranchID, recs []*record.Record) error {
 	e.mu.Lock()
